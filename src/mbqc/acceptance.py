@@ -47,13 +47,13 @@ from .notation import parse_pattern
 from .patterns import Pattern, is_pauli_first, validate
 from .rewrite import normalize_pauli_first, pauli_inversions, push_step
 from .simulate import (
-    _BASIS0,
-    _apply_pauli_mask,
-    _graph_state_vector,
-    _project,
+    apply_pauli,
     choi_distance,
+    graph_state,
     is_robustly_deterministic,
+    measurement_basis,
     plane_fixed_point,
+    project,
     semantics,
     stabilizer_sign,
 )
@@ -391,7 +391,7 @@ def _eq2_suite() -> tuple[int, int]:
 
 def _project_many(vec, qubits, bras):
     for v in sorted(bras):
-        vec, qubits = _project(vec, qubits, v, bras[v])
+        vec, qubits = project(vec, qubits, v, bras[v])
     return vec, qubits
 
 
@@ -423,17 +423,14 @@ def _eq3_suite() -> tuple[int, int]:
             dims = list(og.graph.vertices)
             bras = {}
             for v in iter_bits(part.b):
-                alpha = 0.0 if rng.random() < 0.5 else math.pi
-                plus, minus = _BASIS0[og.label(v).axes[0]]
-                bras[v] = plus if alpha == 0.0 else minus
+                angle = Angle.ZERO if rng.random() < 0.5 else Angle.PI
+                bras[v] = measurement_basis(og.label(v), angle).plus
             for _ in range(3):
                 vec = np.array(
                     [rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(1 << len(dims))]
                 )
                 vec /= np.linalg.norm(vec)
-                lhs, _ = _project_many(
-                    _apply_pauli_mask(vec, tuple(dims), bx, bz), tuple(dims), bras
-                )
+                lhs, _ = _project_many(apply_pauli(vec, tuple(dims), bx, bz), tuple(dims), bras)
                 rhs, _ = _project_many(vec, tuple(dims), bras)
                 checked += 1
                 norm = np.linalg.norm(rhs)
@@ -467,7 +464,6 @@ def _eq4_suite() -> tuple[int, int]:
     for og, cert in instances:
         for v, dv in cert.compensations:
             union = dv | odd_neighborhood(og, dv)
-            angles = {}
             bras = {}
             for w in iter_bits(union):
                 lab = og.label(w)
@@ -475,23 +471,18 @@ def _eq4_suite() -> tuple[int, int]:
                     alpha = 0.0 if rng.random() < 0.5 else math.pi
                 else:
                     alpha = rng.uniform(0, 2 * math.pi)
-                from .simulate import _basis_vectors
-
-                bras[w] = _basis_vectors(lab, alpha)[0]
+                bras[w] = measurement_basis(lab, Angle.of_real(alpha)).plus
             verts = tuple(og.graph.vertices)
-            base = _graph_state_vector(og.graph, 0, None)
+            base = graph_state(og.graph).vector
             for axis in Axis:
                 for _ in range(2):
                     rx = rng.getrandbits(len(verts)) & og.vmask
                     rz = rng.getrandbits(len(verts)) & og.vmask
-                    moved = _apply_pauli_mask(base, verts, rx, rz)
+                    moved = apply_pauli(base, verts, rx, rz)
                     lhs, _ = _project_many(moved, verts, bras)
                     lv_x = (1 << v) if axis in (Axis.X, Axis.Y) else 0
                     lv_z = (1 << v) if axis in (Axis.Y, Axis.Z) else 0
-                    moved2 = _apply_pauli_mask(
-                        _apply_pauli_mask(base, verts, rx, rz), verts, lv_x, lv_z
-                    )
-                    rhs, _ = _project_many(moved2, verts, bras)
+                    rhs, _ = _project_many(apply_pauli(moved, verts, lv_x, lv_z), verts, bras)
                     checked += 1
                     nl, nr = np.linalg.norm(lhs), np.linalg.norm(rhs)
                     if nl < 1e-12 and nr < 1e-12:

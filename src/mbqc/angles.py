@@ -36,7 +36,8 @@ class Angle:
             r = math.fmod(float(self.real), _TWO_PI)
             if r < 0.0:
                 r += _TWO_PI
-            object.__setattr__(self, "real", r)
+            # A tiny negative value rounds up to exactly 2 pi; that is 0.
+            object.__setattr__(self, "real", 0.0 if r == _TWO_PI else r)
 
     @staticmethod
     def of_pi(mult: Fraction | int | str) -> Angle:

@@ -49,6 +49,13 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DocumentError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
@@ -170,7 +177,10 @@ def _parse_angles(raw: str | None, graph) -> dict[int, Angle]:
         if not isinstance(payload, dict):
             raise DocumentError("angles must be a JSON object")
     for key, value in payload.items():
-        angles[int(key)] = angle_from_json(value)
+        v = _int(key, "angles key")
+        if v not in graph.measured_vertices():
+            raise DocumentError(f"angles key {key!r} is not a measured vertex")
+        angles[v] = angle_from_json(value)
     for v in graph.measured_vertices():
         if v not in angles:
             angles[v] = Angle.of_pi("1/4") if graph.label(v).is_plane else Angle.ZERO
@@ -182,7 +192,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     cert = certificate_from_json(load_json(args.certificate), graph)
     angles = _parse_angles(args.angles, graph)
     if args.total_order:
-        total = [int(x) for x in args.total_order.split(",") if x.strip()]
+        total = [_int(x, "--total-order vertex") for x in args.total_order.split(",") if x.strip()]
     else:
         total = cert.order.canonical_extension()
     pat = induced_pattern(graph, cert.p_map(), cert.order, total, angles)
@@ -191,11 +201,13 @@ def cmd_induce(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus_verify(args: argparse.Namespace) -> int:
-    from .acceptance import run_all
+    from .acceptance import ALL_CRITERIA, run_all
 
     numbers = None
     if args.criteria:
-        numbers = [int(x) for x in args.criteria.split(",") if x.strip()]
+        numbers = [_int(x, "criterion") for x in args.criteria.split(",") if x.strip()]
+        if any(not 1 <= n <= len(ALL_CRITERIA) for n in numbers):
+            return _fail(f"criteria are numbered 1-{len(ALL_CRITERIA)}, got {args.criteria!r}")
     results = run_all(numbers)
     for result in results:
         print(result.line())

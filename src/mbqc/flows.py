@@ -34,6 +34,21 @@ from .patterns import MeasurementStep, Pattern, underlying_open_graph
 CorrectionFunction = Mapping[int, int]
 
 
+def _close(succ: dict[int, int]) -> dict[int, int]:
+    """Transitive closure of successor bitmasks, in place (and returned)."""
+    changed = True
+    while changed:
+        changed = False
+        for u, acc in succ.items():
+            closed = acc
+            for w in iter_bits(acc):
+                closed |= succ.get(w, 0)
+            if closed != acc:
+                succ[u] = closed
+                changed = True
+    return succ
+
+
 @dataclass(frozen=True)
 class StrictPartialOrder:
     """Strict partial order over the measured vertices, stored closed.
@@ -51,17 +66,8 @@ class StrictPartialOrder:
             if u not in after or v not in after:
                 raise DomainError(f"order pair ({u},{v}) outside the domain")
             after[u] |= 1 << v
-        # Transitive closure; reject cycles (including reflexive pairs).
-        changed = True
-        while changed:
-            changed = False
-            for u in after:
-                acc = after[u]
-                for w in iter_bits(acc):
-                    acc |= after[w]
-                if acc != after[u]:
-                    after[u] = acc
-                    changed = True
+        _close(after)
+        # Reject cycles (including reflexive pairs).
         for u in after:
             if (after[u] >> u) & 1:
                 raise DomainError(f"order has a cycle through {u}")
@@ -181,17 +187,7 @@ class Digraph:
 
     def reachability(self) -> dict[int, int] | None:
         """Strict reachability masks, or None if the graph has a cycle."""
-        reach = {v: self._succ.get(v, 0) for v in self.vertices}
-        changed = True
-        while changed:
-            changed = False
-            for u in reach:
-                acc = reach[u]
-                for w in iter_bits(acc):
-                    acc |= reach.get(w, 0)
-                if acc != reach[u]:
-                    reach[u] = acc
-                    changed = True
+        reach = _close({v: self._succ.get(v, 0) for v in self.vertices})
         for u, r in reach.items():
             if (r >> u) & 1:
                 return None

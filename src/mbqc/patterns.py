@@ -145,16 +145,6 @@ def is_pauli_first(pat: Pattern) -> bool:
     return True
 
 
-def measured_before(pat: Pattern, qubit: int) -> int:
-    """Mask of qubits measured strictly before ``qubit``."""
-    seen = 0
-    for s in pat.steps:
-        if s.qubit == qubit:
-            return seen
-        seen |= 1 << s.qubit
-    raise DomainError(f"qubit {qubit} is not measured")
-
-
 def outcome_mask(pat: Pattern, m: OutcomeAssignment) -> int:
     """Pack an outcome assignment into a bitmask; it must cover all steps."""
     mask = 0

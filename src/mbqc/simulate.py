@@ -1,9 +1,13 @@
 """Exact dense-linear-algebra semantics for patterns.
 
-Branch maps are built column by column from the entangled resource state;
-the superoperator is their completely positive sum, stored as a Choi matrix.
-Robust determinism is decided by the definitional recursion: at every step
-the two outcome-conditioned channels must agree as linear maps, which is
+One kernel serves every caller: the resource state is prepared as an
+isometry (one column per input basis state), and each measurement step
+projects every branch onto both outcomes and corrects the outcome-1 side
+(``project``, ``apply_pauli``).  ``branch_map`` follows one side per step,
+``semantics`` keeps both and stores the completely positive sum of the
+branches as a Choi matrix.  Robust determinism is decided by the
+definitional recursion: at every step the two outcome-conditioned channels
+must agree as linear maps, which is
 checked on a complete operator basis via Choi matrices; the universally
 quantified perturbation angle of plane measurements is discharged by
 sampling three equally spaced offsets (both sides are trigonometric
@@ -33,7 +37,7 @@ from .errors import (
 )
 from .graphs import Axis, Graph, Label, OpenGraph, odd_neighborhood
 from .pauli import PauliOperator
-from .patterns import OutcomeAssignment, Pattern, outcome_mask, require_valid
+from .patterns import MeasurementStep, OutcomeAssignment, Pattern, outcome_mask, require_valid
 
 DEFAULT_TOL = 1e-9
 _DEFAULT_MAX_QUBITS = 12
@@ -64,7 +68,15 @@ _PAULI_MATRICES: dict[Axis, np.ndarray] = {
 def max_qubits() -> int:
     """Simulator size bound; override with the MBQC_MAX_QUBITS variable."""
     value = os.environ.get("MBQC_MAX_QUBITS")
-    return int(value) if value else _DEFAULT_MAX_QUBITS
+    if not value:
+        return _DEFAULT_MAX_QUBITS
+    try:
+        bound = int(value)
+    except ValueError:
+        bound = -1
+    if bound < 0:
+        raise ResourceLimitError(f"MBQC_MAX_QUBITS must be a non-negative integer, got {value!r}")
+    return bound
 
 
 def _check_size(n: int) -> None:
@@ -146,12 +158,10 @@ def measurement_basis(label: Label, angle: Angle) -> MeasurementBasisPair:
 
 
 # ---------------------------------------------------------------------------
-# Raw state plumbing.  Flat vectors over sorted qubit tuples; the qubit at
-# tuple position a owns flat-index bit (n-1-a).
-
-
-def _local_bit(qubits: Sequence[int], q: int) -> int:
-    return len(qubits) - 1 - qubits.index(q)
+# The project-and-correct kernel.  A register is an array whose leading axis
+# runs over the basis of the sorted qubits (the qubit at tuple position a
+# owns flat-index bit n-1-a); trailing axes ride along, so a state is a
+# vector and a branch map has one column per input basis state.
 
 
 def _local_mask(qubits: Sequence[int], vmask: int) -> int:
@@ -162,56 +172,48 @@ def _local_mask(qubits: Sequence[int], vmask: int) -> int:
     return out
 
 
-def _apply_pauli_mask(vec: np.ndarray, qubits: Sequence[int], xmask: int, zmask: int) -> np.ndarray:
-    """Apply X_{xmask} Z_{zmask} (Z first, then X)."""
+def apply_pauli(k: np.ndarray, qubits: Sequence[int], xmask: int, zmask: int) -> np.ndarray:
+    """Apply X_{xmask} Z_{zmask} (Z first, then X) to a register."""
     lx = _local_mask(qubits, xmask)
     lz = _local_mask(qubits, zmask)
-    idx = np.arange(vec.shape[0])
-    out = vec[idx ^ lx]
+    idx = np.arange(k.shape[0])
+    out = k[idx ^ lx]
     if lz:
         signs = 1.0 - 2.0 * (np.bitwise_count(idx & lz) & 1)
-        out = out * signs
+        out = out * signs.reshape((-1,) + (1,) * (k.ndim - 1))
     return out
 
 
-def _project(vec: np.ndarray, qubits: tuple[int, ...], q: int, bra: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+def project(
+    k: np.ndarray, qubits: tuple[int, ...], q: int, bra: np.ndarray
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Contract qubit ``q`` of a register with ``<bra|``; returns the rest."""
     n = len(qubits)
     a = qubits.index(q)
-    t = vec.reshape((2,) * n)
-    t = np.tensordot(bra.conj(), t, axes=([0], [a]))
-    rest = qubits[:a] + qubits[a + 1 :]
-    return t.reshape(-1), rest
+    t = np.tensordot(bra.conj(), k.reshape((2,) * n + k.shape[1:]), axes=([0], [a]))
+    return t.reshape((-1,) + k.shape[1:]), qubits[:a] + qubits[a + 1 :]
 
 
-def _graph_state_vector(graph: Graph, inputs: int, input_state: np.ndarray | None) -> np.ndarray:
+def _graph_state_vector(graph: Graph, inputs: int, columns: np.ndarray) -> np.ndarray:
+    """CZ over every edge on plus states, one output column per input column."""
     verts = list(graph.vertices)
     _check_size(len(verts))
     in_qubits = bit_list(inputs)
-    if input_state is None:
-        if in_qubits:
-            raise DomainError("input state required for a graph with inputs")
-        state = np.ones(1, dtype=complex)
-    else:
-        state = np.asarray(input_state, dtype=complex).reshape(-1)
-        if state.shape != (1 << len(in_qubits),):
-            raise DomainError("input state dimension does not match the input set")
     axes_order = list(in_qubits)
     plus = _BASIS0[Axis.X][0]
-    t = state.reshape((2,) * len(in_qubits))
+    t = columns.T.reshape((columns.shape[1],) + (2,) * len(in_qubits))
     for q in verts:
         if not (inputs >> q) & 1:
             t = np.tensordot(t, plus, axes=0)
             axes_order.append(q)
-    if verts:
-        t = t.transpose([axes_order.index(q) for q in verts])
-    vec = np.ascontiguousarray(t.reshape(-1))
-    idx = np.arange(vec.shape[0])
+    t = t.transpose([1 + axes_order.index(q) for q in verts] + [0])
+    k = np.ascontiguousarray(t.reshape(1 << len(verts), -1))
+    idx = np.arange(k.shape[0])
     for u, v in graph.edges:
-        bu = 1 << _local_bit(verts, u)
-        bv = 1 << _local_bit(verts, v)
-        both = ((idx & bu) != 0) & ((idx & bv) != 0)
-        vec[both] *= -1.0
-    return vec
+        bu = 1 << (len(verts) - 1 - verts.index(u))
+        bv = 1 << (len(verts) - 1 - verts.index(v))
+        k[((idx & bu) != 0) & ((idx & bv) != 0)] *= -1.0
+    return k
 
 
 def graph_state(g: OpenGraph | Graph, input_state: np.ndarray | None = None) -> QuantumState:
@@ -225,76 +227,49 @@ def graph_state(g: OpenGraph | Graph, input_state: np.ndarray | None = None) -> 
         graph, inputs = g.graph, g.inputs
     else:
         graph, inputs = g, 0
-    return QuantumState(tuple(graph.vertices), _graph_state_vector(graph, inputs, input_state))
+    if input_state is None:
+        if inputs:
+            raise DomainError("input state required for a graph with inputs")
+        input_state = np.ones(1)
+    state = np.asarray(input_state, dtype=complex).reshape(-1)
+    if state.shape != (1 << inputs.bit_count(),):
+        raise DomainError("input state dimension does not match the input set")
+    vector = _graph_state_vector(graph, inputs, state[:, None])[:, 0]
+    return QuantumState(tuple(graph.vertices), vector)
 
 
-def _initial_branch_matrix(pat: Pattern) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Isometry of the preparation stage: columns indexed by input basis."""
-    in_qubits = bit_list(pat.inputs)
-    dim_in = 1 << len(in_qubits)
-    cols = []
-    for i in range(dim_in):
-        e = np.zeros(dim_in, dtype=complex)
-        e[i] = 1.0
-        cols.append(_graph_state_vector(pat.graph, pat.inputs, e if in_qubits else None))
-    return np.stack(cols, axis=1), tuple(pat.graph.vertices)
+def _measure(
+    branches: Sequence[np.ndarray], qubits: tuple[int, ...], step: MeasurementStep, angle: float
+) -> tuple[list[np.ndarray], list[np.ndarray], tuple[int, ...]]:
+    """One measurement step at ``angle``: the outcome-0 branches, the
+    corrected outcome-1 branches, and the remaining qubits."""
+    plus, minus = _basis_vectors(step.label, angle)
+    zeros, ones = [], []
+    for k in branches:
+        a, rest = project(k, qubits, step.qubit, plus)
+        b, _ = project(k, qubits, step.qubit, minus)
+        zeros.append(a)
+        ones.append(apply_pauli(b, rest, step.x_corr, step.z_corr))
+    return zeros, ones, rest
 
 
-def _project_rows(
-    k: np.ndarray, qubits: tuple[int, ...], q: int, bra: np.ndarray
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    n = len(qubits)
-    a = qubits.index(q)
-    t = k.reshape((2,) * n + (k.shape[1],))
-    t = np.tensordot(bra.conj(), t, axes=([0], [a]))
-    rest = qubits[:a] + qubits[a + 1 :]
-    return t.reshape(-1, k.shape[1]), rest
-
-
-def _apply_pauli_rows(k: np.ndarray, qubits: tuple[int, ...], xmask: int, zmask: int) -> np.ndarray:
-    lx = _local_mask(qubits, xmask)
-    lz = _local_mask(qubits, zmask)
-    idx = np.arange(k.shape[0])
-    out = k[idx ^ lx, :]
-    if lz:
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & lz) & 1)
-        out = out * signs[:, None]
-    return out
-
-
-def _evolve_branches(pat: Pattern) -> tuple[list[tuple[int, np.ndarray]], tuple[int, ...]]:
-    """All branch matrices of a valid pattern, keyed by outcome bitmask."""
-    k0, qubits = _initial_branch_matrix(pat)
-    branches: list[tuple[int, np.ndarray]] = [(0, k0)]
-    for step in pat.steps:
-        plus, minus = _basis_vectors(step.label, step.angle.to_float())
-        nxt: list[tuple[int, np.ndarray]] = []
-        for omask, k in branches:
-            kp, rest = _project_rows(k, qubits, step.qubit, plus)
-            km, _ = _project_rows(k, qubits, step.qubit, minus)
-            km = _apply_pauli_rows(km, rest, step.x_corr, step.z_corr)
-            nxt.append((omask, kp))
-            nxt.append((omask | (1 << step.qubit), km))
-        qubits = qubits[: qubits.index(step.qubit)] + qubits[qubits.index(step.qubit) + 1 :]
-        branches = nxt
-    return branches, qubits
+def _prepare(pat: Pattern) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """The preparation isometry as the single initial branch."""
+    require_valid(pat)
+    _check_size(pat.total_qubits())
+    eye = np.eye(1 << pat.inputs.bit_count(), dtype=complex)
+    return [_graph_state_vector(pat.graph, pat.inputs, eye)], tuple(pat.graph.vertices)
 
 
 def branch_map(pat: Pattern, m: OutcomeAssignment) -> BranchMap:
     """The linear map of one outcome branch; corrections fire on outcome 1."""
-    require_valid(pat)
-    _check_size(pat.total_qubits())
+    branches, qubits = _prepare(pat)
     target = outcome_mask(pat, m)
-    k, qubits = _initial_branch_matrix(pat)
     for step in pat.steps:
-        plus, minus = _basis_vectors(step.label, step.angle.to_float())
-        if (target >> step.qubit) & 1:
-            k, qubits = _project_rows(k, qubits, step.qubit, minus)
-            k = _apply_pauli_rows(k, qubits, step.x_corr, step.z_corr)
-        else:
-            k, qubits = _project_rows(k, qubits, step.qubit, plus)
+        zeros, ones, qubits = _measure(branches, qubits, step, step.angle.to_float())
+        branches = ones if (target >> step.qubit) & 1 else zeros
     outcomes = tuple((s.qubit, (target >> s.qubit) & 1) for s in pat.steps)
-    return BranchMap(k, outcomes, tuple(bit_list(pat.inputs)), qubits)
+    return BranchMap(branches[0], outcomes, tuple(bit_list(pat.inputs)), qubits)
 
 
 def _choi(kraus: Sequence[np.ndarray]) -> np.ndarray:
@@ -304,11 +279,12 @@ def _choi(kraus: Sequence[np.ndarray]) -> np.ndarray:
 
 def semantics(pat: Pattern) -> Superoperator:
     """Superoperator semantics: the CP sum of all outcome branches."""
-    require_valid(pat)
-    _check_size(pat.total_qubits())
-    branches, out_qubits = _evolve_branches(pat)
-    kraus = tuple(k for _, k in branches)
-    return Superoperator(_choi(kraus), tuple(bit_list(pat.inputs)), out_qubits, kraus)
+    branches, qubits = _prepare(pat)
+    for step in pat.steps:
+        zeros, ones, qubits = _measure(branches, qubits, step, step.angle.to_float())
+        branches = [k for pair in zip(zeros, ones) for k in pair]
+    kraus = tuple(branches)
+    return Superoperator(_choi(kraus), tuple(bit_list(pat.inputs)), qubits, kraus)
 
 
 def superoperator_equal(s1: Superoperator, s2: Superoperator, tol: float = DEFAULT_TOL) -> bool:
@@ -362,7 +338,6 @@ def is_robustly_deterministic(
     pat: Pattern,
     tol: float = DEFAULT_TOL,
     epsilon_offsets: Sequence[float] | None = None,
-    stop_on_failure: bool = True,
 ) -> RobustDeterminismReport:
     """Definitional recursion for robust determinism.
 
@@ -371,50 +346,29 @@ def is_robustly_deterministic(
     density matrix.  Plane measurements must satisfy this for every
     perturbation of their angle; three offsets suffice (see module docs),
     and ``epsilon_offsets`` lets callers re-run the check with denser
-    sampling.
+    sampling.  The check stops at the first failing step.
     """
-    require_valid(pat)
-    _check_size(pat.total_qubits())
+    branches, qubits = _prepare(pat)
     offsets = tuple(epsilon_offsets) if epsilon_offsets is not None else _PLANE_OFFSETS
-    k0, qubits = _initial_branch_matrix(pat)
-    branches = [k0]
     diagnostics: list[StepDiagnostic] = []
-    ok = True
     for i, step in enumerate(pat.steps):
         alpha = step.angle.to_float()
         eps = tuple(alpha + o for o in offsets) if step.label.is_plane else (alpha,)
         worst = 0.0
+        taken = None
         for angle in eps:
-            plus, minus = _basis_vectors(step.label, angle)
-            kp = []
-            km = []
-            for k in branches:
-                a, rest = _project_rows(k, qubits, step.qubit, plus)
-                b, _ = _project_rows(k, qubits, step.qubit, minus)
-                b = _apply_pauli_rows(b, rest, step.x_corr, step.z_corr)
-                kp.append(a)
-                km.append(b)
-            worst = max(worst, float(np.max(np.abs(_choi(kp) - _choi(km)))))
-        step_ok = worst <= tol
+            sample = _measure(branches, qubits, step, angle)
+            worst = max(worst, float(np.max(np.abs(_choi(sample[0]) - _choi(sample[1])))))
+            if angle == alpha:
+                taken = sample
         norms = tuple(float(np.linalg.norm(k)) for k in branches)
-        diagnostics.append(
-            StepDiagnostic(i, step.qubit, step.label, eps, worst, norms, step_ok)
-        )
-        if not step_ok:
-            ok = False
-            if stop_on_failure:
-                break
-        plus, minus = _basis_vectors(step.label, alpha)
-        nxt = []
-        for k in branches:
-            a, rest = _project_rows(k, qubits, step.qubit, plus)
-            b, _ = _project_rows(k, qubits, step.qubit, minus)
-            b = _apply_pauli_rows(b, rest, step.x_corr, step.z_corr)
-            nxt.append(a)
-            nxt.append(b)
-        branches = nxt
-        qubits = qubits[: qubits.index(step.qubit)] + qubits[qubits.index(step.qubit) + 1 :]
-    return RobustDeterminismReport(ok, tol, tuple(diagnostics))
+        ok = worst <= tol
+        diagnostics.append(StepDiagnostic(i, step.qubit, step.label, eps, worst, norms, ok))
+        if not ok:
+            return RobustDeterminismReport(False, tol, tuple(diagnostics))
+        zeros, ones, qubits = taken or _measure(branches, qubits, step, alpha)
+        branches = [k for pair in zip(zeros, ones) for k in pair]
+    return RobustDeterminismReport(True, tol, tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +387,7 @@ def stabilizer_sign(
     if d & ~g.non_inputs or d & ~g.vmask:
         raise DomainError("stabilizer set must avoid input vertices")
     state = graph_state(g, input_state)
-    moved = _apply_pauli_mask(state.vector, state.qubits, d, odd_neighborhood(g, d))
+    moved = apply_pauli(state.vector, state.qubits, d, odd_neighborhood(g, d))
     ref = int(np.argmax(np.abs(state.vector)))
     if abs(state.vector[ref]) < 1e-12:
         raise InvariantViolationError("resource state is numerically zero")
@@ -505,7 +459,7 @@ def project_assignment(g: Graph, assignment: PauliAssignment) -> QuantumState:
         axis, sign = assignment[v]
         plus, minus = _BASIS0[axis]
         bra = plus if sign > 0 else minus
-        vec, qubits = _project(vec, qubits, v, bra)
+        vec, qubits = project(vec, qubits, v, bra)
     return QuantumState(qubits, vec)
 
 
@@ -556,7 +510,7 @@ def brute_force_projected_stabilizers(
         xm = sum(1 << rem[i] for i in range(len(rem)) if (xm_bits >> i) & 1)
         for zm_bits in range(1 << len(rem)):
             zm = sum(1 << rem[i] for i in range(len(rem)) if (zm_bits >> i) & 1)
-            moved = _apply_pauli_mask(vec, qubits, xm, zm)
+            moved = apply_pauli(vec, qubits, xm, zm)
             if _proportional(moved, vec, tol) is not None:
                 out.add((xm, zm))
     return frozenset(PauliOperator(remaining, x, z, 0) for x, z in out)
@@ -612,8 +566,8 @@ def classify_branch_relation(
     inv_sqrt2 = 1.0 / math.sqrt(2)
     for alpha in (0.0, math.pi / 2.0, math.pi):
         plus, _ = _basis_vectors(label, alpha)
-        pa, _ = _project(a, phi.qubits, u, plus)
-        pb, _ = _project(b, phi.qubits, u, plus)
+        pa, _ = project(a, phi.qubits, u, plus)
+        pb, _ = project(b, phi.qubits, u, plus)
         if abs(np.linalg.norm(pa) - inv_sqrt2) > tol:
             return BranchRelation("neither")
         if _proportional(pa, pb, tol) is None and np.linalg.norm(pa - pb) > tol:
@@ -623,10 +577,10 @@ def classify_branch_relation(
     p_axis = label.complement
     plus0, minus0 = _BASIS0[p_axis]
     for x, (ea, eb) in enumerate(((plus0, minus0), (minus0, plus0))):
-        psi, rest = _project(a, phi.qubits, u, ea)
-        other, _ = _project(a, phi.qubits, u, eb)
-        psi_b, _ = _project(b, phi.qubits, u, eb)
-        other_b, _ = _project(b, phi.qubits, u, ea)
+        psi, rest = project(a, phi.qubits, u, ea)
+        other, _ = project(a, phi.qubits, u, eb)
+        psi_b, _ = project(b, phi.qubits, u, eb)
+        other_b, _ = project(b, phi.qubits, u, ea)
         if (
             np.linalg.norm(other) <= tol
             and np.linalg.norm(other_b) <= tol

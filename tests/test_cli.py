@@ -194,3 +194,36 @@ def test_corpus_verify_single_criterion(capsys):
     assert main(["corpus-verify", "--criteria", "5"]) == 0
     out = capsys.readouterr().out
     assert "criterion  5: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corpus-verify", "--criteria", "x"],
+        ["corpus-verify", "--criteria", "11"],
+        ["corpus-verify", "--criteria", "0,12"],
+        ["induce", "G", "C", "--total-order", "a,b"],
+        ["induce", "G", "C", "--angles", '{"x": {"real": 0.5}}'],
+        ["induce", "G", "C", "--angles", '{"99": {"real": 0.5}}'],
+        ["induce", "G", "C", "--angles", "[1, 2]"],
+        ["induce", "G", "C", "--angles", "{not json"],
+    ],
+)
+def test_malformed_arguments_exit_2(tmp_path, argv, capsys):
+    og, cert = extended_flow_example()
+    paths = {
+        "G": _write(tmp_path, "g.json", open_graph_to_json(og)),
+        "C": _write(tmp_path, "c.json", certificate_to_json(cert)),
+    }
+    assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_max_qubits_variable_exits_2(tmp_path, monkeypatch, capsys, value):
+    pat = parse_pattern(SRC_A).bind(THETA)
+    ppath = _write(tmp_path, "p.json", pattern_to_json(pat))
+    monkeypatch.setenv("MBQC_MAX_QUBITS", value)
+    assert main(["check-determinism", ppath]) == 2
+    assert "MBQC_MAX_QUBITS" in capsys.readouterr().err

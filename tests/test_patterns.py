@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -200,7 +201,9 @@ def test_angle_forms():
     assert Angle.of_pi(2) == Angle.ZERO  # normalized into [0, 2)
     assert Angle.of_pi("3/2").pi_mult == Fraction(3, 2)
     assert str(Angle.of_pi("3/2")) == "3pi/2"
-    assert Angle.of_real(-1.0).real > 0  # wrapped into [0, 2 pi)
+    for x in (-1.0, -1e-20):  # wrapped into [0, 2 pi)
+        assert 0.0 <= Angle.of_real(x).real < 2 * math.pi
+    assert Angle.of_real(-1e-20).is_pauli_angle()
     assert Angle.variable("theta").is_symbolic
     with pytest.raises(DomainError):
         Angle.variable("theta").to_float()

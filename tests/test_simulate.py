@@ -216,7 +216,10 @@ def test_rd_three_point_sampling_matches_dense():
     # quantified plane perturbation: both sides are trig polynomials of
     # degree one, so three samples decide; confirm against 17 dense offsets.
     # Strided over the corpus so every base family contributes.
+    # The shifted set samples the same three points but leaves out offset 0,
+    # so the oracle projects once more at each step's own angle to move on.
     dense = tuple(2.0 * math.pi * k / 17.0 for k in range(17))
+    shifted = tuple(2.0 * math.pi * k / 3.0 for k in (1, 2, 3))
     seen = count = disagree = 0
     for pat in pattern_corpus():
         if not any(s.label.is_plane for s in pat.steps):
@@ -225,10 +228,35 @@ def test_rd_three_point_sampling_matches_dense():
         if seen % 60 != 0:
             continue
         count += 1
-        fast = bool(is_robustly_deterministic(pat))
+        fast = is_robustly_deterministic(pat)
         slow = bool(is_robustly_deterministic(pat, epsilon_offsets=dense))
-        disagree += fast != slow
+        disagree += bool(fast) != slow
+        moved = is_robustly_deterministic(pat, epsilon_offsets=shifted)
+        assert [s.ok for s in moved.steps] == [s.ok for s in fast.steps]
+        assert np.allclose(
+            [s.choi_distance for s in moved.steps], [s.choi_distance for s in fast.steps], atol=1e-12
+        )
     assert count > 100 and disagree == 0
+
+
+def test_semantics_is_the_sum_over_branch_maps():
+    # semantics and branch_map share one measurement step: the Choi matrix
+    # is the sum of vec(K) vec(K)^dagger over every outcome branch, and the
+    # Kraus list runs over the outcomes with the first step most significant.
+    from mbqc.patterns import outcome_assignments
+
+    with_inputs = [pat for pat in pattern_corpus() if pat.inputs]
+    for pat in with_inputs[::20]:
+        sup = semantics(pat)
+        k = len(pat.steps)
+        expected = np.zeros_like(sup.choi)
+        for m in outcome_assignments(pat):
+            kraus = branch_map(pat, m).matrix
+            expected += np.outer(kraus.reshape(-1), kraus.reshape(-1).conj())
+            index = sum(m[s.qubit] << (k - 1 - i) for i, s in enumerate(pat.steps))
+            assert np.array_equal(sup.kraus[index], kraus)
+        assert np.allclose(sup.choi, expected, atol=1e-12)
+    assert len(with_inputs[::20]) > 50
 
 
 def test_rd_strongness_of_branch_probabilities():
@@ -333,7 +361,7 @@ def test_corrected_branch_equivalence_extends_off_plane():
     # with corrections X_A Z_B satisfies phi ~ (X_A Z_B P_u) phi, where P is
     # the axis outside the plane: the branch agreement at every angle forces
     # the extended operator to fix the state up to phase.
-    from mbqc.simulate import _apply_pauli_mask, _project, _proportional
+    from mbqc.simulate import _proportional, apply_pauli, project
 
     checked = 0
     for pat in pattern_corpus():
@@ -346,12 +374,12 @@ def test_corrected_branch_equivalence_extends_off_plane():
                 comp = step.label.complement
                 op_x = step.x_corr | ((1 << step.qubit) if comp in (Axis.X, Axis.Y) else 0)
                 op_z = step.z_corr | ((1 << step.qubit) if comp in (Axis.Y, Axis.Z) else 0)
-                moved = _apply_pauli_mask(prefix_vec, qubits, op_x, op_z)
+                moved = apply_pauli(prefix_vec, qubits, op_x, op_z)
                 assert _proportional(moved, prefix_vec, 1e-9) is not None
                 checked += 1
             # advance along the outcome-0 branch (no corrections there)
             plus, _ = _basis_vectors(step.label, step.angle.to_float())
-            prefix_vec, qubits = _project(prefix_vec, qubits, step.qubit, plus)
+            prefix_vec, qubits = project(prefix_vec, qubits, step.qubit, plus)
         if checked > 60:
             break
     assert checked > 30
