@@ -584,5 +584,5 @@ ALL_CRITERIA = [
 
 
 def run_all(numbers: list[int] | None = None) -> list[CriterionResult]:
-    wanted = set(numbers) if numbers else set(range(1, 11))
+    wanted = set(range(1, 11)) if numbers is None else set(numbers)
     return [fn() for i, fn in enumerate(ALL_CRITERIA, start=1) if i in wanted]

@@ -17,6 +17,20 @@ from .errors import DomainError
 
 _TWO_PI = 2.0 * math.pi
 
+#: Distance from 0, pi or 2 pi within which a real angle counts as Pauli.
+PAULI_ANGLE_TOL = 1e-12
+
+
+def pauli_multiple(value: float) -> int | None:
+    """0 or 1 when ``value`` is within ``PAULI_ANGLE_TOL`` of an even or an
+    odd multiple of pi (0, pi or 2 pi after reduction), else None."""
+    r = abs(math.fmod(value, _TWO_PI))
+    if r <= PAULI_ANGLE_TOL or _TWO_PI - r <= PAULI_ANGLE_TOL:
+        return 0
+    if abs(r - math.pi) <= PAULI_ANGLE_TOL:
+        return 1
+    return None
+
 
 @dataclass(frozen=True)
 class Angle:
@@ -64,11 +78,11 @@ class Angle:
         return self.real
 
     def is_pauli_angle(self) -> bool:
-        """True iff the angle is exactly 0 or pi."""
+        """True iff the angle is 0 or pi (a real one within ``PAULI_ANGLE_TOL``)."""
         if self.pi_mult is not None:
             return self.pi_mult in (Fraction(0), Fraction(1))
         if self.real is not None:
-            return self.real in (0.0, math.pi)
+            return pauli_multiple(self.real) is not None
         return False
 
     def bind(self, bindings: dict[str, Angle]) -> Angle:

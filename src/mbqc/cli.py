@@ -204,9 +204,9 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
     from .acceptance import ALL_CRITERIA, run_all
 
     numbers = None
-    if args.criteria:
+    if args.criteria is not None:
         numbers = [_int(x, "criterion") for x in args.criteria.split(",") if x.strip()]
-        if any(not 1 <= n <= len(ALL_CRITERIA) for n in numbers):
+        if not numbers or any(not 1 <= n <= len(ALL_CRITERIA) for n in numbers):
             return _fail(f"criteria are numbered 1-{len(ALL_CRITERIA)}, got {args.criteria!r}")
     results = run_all(numbers)
     for result in results:

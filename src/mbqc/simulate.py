@@ -7,12 +7,14 @@ projects every branch onto both outcomes and corrects the outcome-1 side
 ``semantics`` keeps both and stores the completely positive sum of the
 branches as a Choi matrix.  Robust determinism is decided by the
 definitional recursion: at every step the two outcome-conditioned channels
-must agree as linear maps, which is
-checked on a complete operator basis via Choi matrices; the universally
-quantified perturbation angle of plane measurements is discharged by
-sampling three equally spaced offsets (both sides are trigonometric
-polynomials of degree one in the offset, so three samples pin them down —
-the reduction itself is validated by dense sampling in the test suite).
+must agree as linear maps.  While they do, the channel keeps one Kraus
+operator, and a step compares the two rank-one Choi matrices by the
+Frobenius norm of their difference (never below their max-entry distance)
+without forming a D x D matrix.  The universally quantified perturbation
+angle of plane measurements is discharged by sampling three equally spaced
+offsets (both sides are trigonometric polynomials of degree one in the
+offset, so three samples pin them down — the reduction itself is validated
+by dense sampling in the test suite).
 
 Qubit tensor ordering is the canonical numeric vertex order throughout,
 first qubit most significant.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import Angle
+from .angles import Angle, pauli_multiple
 from .bits import bit_list
 from .errors import (
     DomainError,
@@ -138,8 +140,7 @@ def _basis_vectors(label: Label, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     if label.is_pauli:
         plus, minus = _BASIS0[label.axes[0]]
         # Angle pi measures the negated observable: outcomes swap.
-        reduced = math.fmod(alpha, 2.0 * math.pi)
-        if math.isclose(abs(reduced), math.pi, abs_tol=1e-12):
+        if pauli_multiple(alpha) == 1:
             return minus, plus
         return plus, minus
     p0, m0 = _BASIS0[label.complement]
@@ -334,6 +335,24 @@ class RobustDeterminismReport:
         return None
 
 
+def _rank_one_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of vec(a)vec(a)^dagger - vec(b)vec(b)^dagger in O(D).
+
+    With b's global phase aligned so that <b, a> is real, s = a + b and
+    d = a - b give aa^dagger - bb^dagger = (sd^dagger + ds^dagger) / 2 and
+    <s, d> = |a|^2 - |b|^2.  Unlike the Gram form |a|^4 + |b|^4 - 2|<a, b>|^2,
+    which cancels to noise near 1e-8, this stays at rounding level when the
+    two sides agree.
+    """
+    a, b = a.reshape(-1), b.reshape(-1)
+    overlap = np.vdot(b, a)
+    if overlap != 0:
+        b = b * (overlap / abs(overlap))
+    s, d = np.linalg.norm(a + b), np.linalg.norm(a - b)
+    gap = np.vdot(a, a).real - np.vdot(b, b).real
+    return math.sqrt(0.5 * ((s * d) ** 2 + gap**2))
+
+
 def is_robustly_deterministic(
     pat: Pattern,
     tol: float = DEFAULT_TOL,
@@ -347,8 +366,16 @@ def is_robustly_deterministic(
     perturbation of their angle; three offsets suffice (see module docs),
     and ``epsilon_offsets`` lets callers re-run the check with denser
     sampling.  The check stops at the first failing step.
+
+    The channel so far is one Kraus operator k: when a step passes, the
+    corrected outcome-1 branch b is the outcome-0 branch a up to a global
+    phase, so a rho a^dagger + b rho b^dagger = 2 a rho a^dagger and the next
+    k is sqrt(2) a.  A step's distance is the Frobenius norm of
+    vec(a)vec(a)^dagger - vec(b)vec(b)^dagger, never below its max-entry
+    norm, and no D x D matrix is formed.  ``branch_norms`` has one entry,
+    the norm of k.
     """
-    branches, qubits = _prepare(pat)
+    [k], qubits = _prepare(pat)
     offsets = tuple(epsilon_offsets) if epsilon_offsets is not None else _PLANE_OFFSETS
     diagnostics: list[StepDiagnostic] = []
     for i, step in enumerate(pat.steps):
@@ -357,17 +384,18 @@ def is_robustly_deterministic(
         worst = 0.0
         taken = None
         for angle in eps:
-            sample = _measure(branches, qubits, step, angle)
-            worst = max(worst, float(np.max(np.abs(_choi(sample[0]) - _choi(sample[1])))))
+            zeros, ones, rest = _measure([k], qubits, step, angle)
+            worst = max(worst, _rank_one_distance(zeros[0], ones[0]))
             if angle == alpha:
-                taken = sample
-        norms = tuple(float(np.linalg.norm(k)) for k in branches)
+                taken = zeros[0]
+        norms = (float(np.linalg.norm(k)),)
         ok = worst <= tol
         diagnostics.append(StepDiagnostic(i, step.qubit, step.label, eps, worst, norms, ok))
         if not ok:
             return RobustDeterminismReport(False, tol, tuple(diagnostics))
-        zeros, ones, qubits = taken or _measure(branches, qubits, step, alpha)
-        branches = [k for pair in zip(zeros, ones) for k in pair]
+        if taken is None:
+            taken = _measure([k], qubits, step, alpha)[0][0]
+        k, qubits = math.sqrt(2.0) * taken, rest
     return RobustDeterminismReport(True, tol, tuple(diagnostics))
 
 

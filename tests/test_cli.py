@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mbqc import Angle
+from mbqc.acceptance import run_all
 from mbqc.cli import main
 from mbqc.corpus import extended_flow_example
 from mbqc.documents import (
@@ -194,6 +195,7 @@ def test_corpus_verify_single_criterion(capsys):
     assert main(["corpus-verify", "--criteria", "5"]) == 0
     out = capsys.readouterr().out
     assert "criterion  5: PASS" in out
+    assert run_all([]) == []
 
 
 @pytest.mark.parametrize(
@@ -202,6 +204,8 @@ def test_corpus_verify_single_criterion(capsys):
         ["corpus-verify", "--criteria", "x"],
         ["corpus-verify", "--criteria", "11"],
         ["corpus-verify", "--criteria", "0,12"],
+        ["corpus-verify", "--criteria", ","],
+        ["corpus-verify", "--criteria", ""],
         ["induce", "G", "C", "--total-order", "a,b"],
         ["induce", "G", "C", "--angles", '{"x": {"real": 0.5}}'],
         ["induce", "G", "C", "--angles", '{"99": {"real": 0.5}}'],

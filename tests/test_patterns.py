@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mbqc import (
@@ -16,6 +17,7 @@ from mbqc import (
     PatternSyntaxError,
     is_pauli_first,
     mask_of,
+    measurement_basis,
     parse_pattern,
     serialize_pattern,
     underlying_open_graph,
@@ -209,6 +211,14 @@ def test_angle_forms():
         Angle.variable("theta").to_float()
     assert Angle.PI.is_pauli_angle() and Angle.ZERO.is_pauli_angle()
     assert not Angle.of_pi("1/2").is_pauli_angle()
+    # Real angles within rounding of 0, pi or 2 pi are Pauli, and the
+    # simulator measures them as 0 or pi.
+    near = {math.pi * (1 - 1e-15): Angle.PI, math.pi * (1 + 1e-15): Angle.PI, 2 * math.pi - 1e-15: Angle.ZERO}
+    for x, exact in near.items():
+        assert Angle.of_real(x).is_pauli_angle()
+        got = measurement_basis(Label.Z, Angle.of_real(x))
+        assert np.array_equal(got.plus, measurement_basis(Label.Z, exact).plus)
+    assert not Angle.of_real(math.pi + 1e-9).is_pauli_angle()
 
 
 def test_bind_angles():

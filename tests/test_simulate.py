@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +16,13 @@ from mbqc import (
     Graph,
     Label,
     OpenGraph,
+    Pattern,
+    StrictPartialOrder,
     branch_map,
     classify_branch_relation,
     enumerate_projected_stabilizers,
     graph_state,
+    induced_pattern,
     is_robustly_deterministic,
     mask_of,
     measurement_basis,
@@ -27,15 +32,19 @@ from mbqc import (
     stabilizer_of,
     stabilizer_sign,
     superoperator_equal,
+    underlying_open_graph,
 )
+from mbqc import simulate
 from mbqc.bits import bit_list, subsets
 from mbqc.corpus import pattern_corpus
 from mbqc.errors import DomainError, PreconditionError, ResourceLimitError
 from mbqc.simulate import (
     QuantumState,
     _basis_vectors,
+    apply_pauli,
     brute_force_projected_stabilizers,
     choi_distance,
+    project,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -237,6 +246,94 @@ def test_rd_three_point_sampling_matches_dense():
             [s.choi_distance for s in moved.steps], [s.choi_distance for s in fast.steps], atol=1e-12
         )
     assert count > 100 and disagree == 0
+
+
+def _choi_sum(kraus):
+    return sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in kraus)
+
+
+def _dense_reference(pat, tol=1e-9):
+    """The oracle before its rank-one form: 2^i branches after step i, two
+    D x D Choi matrices per sampled angle, max-entry distance.  Returns the
+    step distances up to and including the first failing step."""
+    og = underlying_open_graph(pat)
+    eye = np.eye(1 << pat.inputs.bit_count())
+    branches = [np.stack([graph_state(og, e).vector for e in eye], axis=1)]
+    qubits = tuple(pat.graph.vertices)
+    distances = []
+    for step in pat.steps:
+        offsets = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0) if step.label.is_plane else (0.0,)
+        sides = []
+        for o in offsets:
+            pair = measurement_basis(step.label, Angle.of_real(step.angle.to_float() + o) if o else step.angle)
+            zeros = [project(k, qubits, step.qubit, pair.plus)[0] for k in branches]
+            ones = [project(k, qubits, step.qubit, pair.minus) for k in branches]
+            ones = [apply_pauli(k, rest, step.x_corr, step.z_corr) for k, rest in ones]
+            sides.append((zeros, ones))
+        distances.append(max(float(np.max(np.abs(_choi_sum(z) - _choi_sum(o)))) for z, o in sides))
+        if distances[-1] > tol:
+            break
+        branches = [k for pair in zip(*sides[0]) for k in pair]
+        qubits = tuple(q for q in qubits if q != step.qubit)
+    return distances
+
+
+def _chain(n, drop=False):
+    """Flow-induced path 0-...-(n-1) with input 0; ``drop`` removes the X
+    correction of the middle step, which is an XY step."""
+    labels = {u: (Label.XY, Label.X, Label.XY, Label.Y)[u % 4] for u in range(n - 1)}
+    og = OpenGraph.make(Graph.make(range(n), [(v, v + 1) for v in range(n - 1)]), [0], [n - 1], labels)
+    angles = {
+        u: Angle.of_real(0.3 + 0.7 * u) if label.is_plane else (Angle.PI if u % 8 == 1 else Angle.ZERO)
+        for u, label in labels.items()
+    }
+    total = list(range(n - 1))
+    pat = induced_pattern(og, {u: 1 << (u + 1) for u in total}, StrictPartialOrder.chain(total), total, angles)
+    if drop:
+        mid = 2 * (n // 4)
+        steps = list(pat.steps)
+        steps[mid] = dataclasses.replace(steps[mid], x_corr=0)
+        pat = Pattern(pat.graph, pat.inputs, tuple(steps))
+    return pat
+
+
+def test_rd_matches_dense_reference():
+    # The rank-one oracle keeps the reference's verdicts and failing steps;
+    # its Frobenius distance is never below the reference's max-entry one.
+    cases = list(pattern_corpus())[::10] + [_chain(7), _chain(7, drop=True)]
+    failing = 0
+    for pat in cases:
+        report = is_robustly_deterministic(pat)
+        reference = _dense_reference(pat)
+        assert [s.ok for s in report.steps] == [d <= 1e-9 for d in reference]
+        for step, distance in zip(report.steps, reference):
+            assert step.choi_distance >= distance - 1e-12
+            assert len(step.branch_norms) == 1
+            if step.ok:
+                assert step.choi_distance <= 1e-12
+        failing += not report.ok
+    assert is_robustly_deterministic(cases[-2]) and not is_robustly_deterministic(cases[-1])
+    assert len(cases) > 1000 and 0 < failing < len(cases)
+
+
+def test_rd_forms_no_choi_matrix(monkeypatch):
+    # A 12-qubit chain with one input fits the default bound; a Choi matrix
+    # of its first step would hold (2^12)^2 complex entries, about 268 MB.
+    def refuse(kraus):
+        raise AssertionError("the oracle formed a Choi matrix")
+
+    monkeypatch.delenv("MBQC_MAX_QUBITS", raising=False)
+    monkeypatch.setattr(simulate, "_choi", refuse)
+    tracemalloc.start()
+    try:
+        good = is_robustly_deterministic(_chain(12))
+        bad = is_robustly_deterministic(_chain(12, drop=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert good.ok and len(good.steps) == 11
+    assert not bad.ok and bad.failing_step.index == 6
+    assert peak < 8 * 2**20
 
 
 def test_semantics_is_the_sum_over_branch_maps():
