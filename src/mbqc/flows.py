@@ -5,8 +5,13 @@ correcting the measurement of ``u`` via a candidate set ``d`` when at least
 one axis of ``v``'s label is compatible with ``v``'s role in the stabilizer
 generated by ``d``.  Plain flow, the plane-only specialization, and the
 extended variant (which may compensate already-measured plane correctors)
-are all expressed through it, together with exhaustive certificate searches
-for small instances.
+are all expressed through it.
+
+``find_pauli_flow`` and ``find_inducing_certificate`` choose each vertex's
+correction set on its own, with no backtracking: their constraints only
+weaken as the search advances (more vertices placed after ``u`` widen
+``u``'s choices; a compensation that fits in a prefix of the order fits in
+every longer one).  ``find_extended_pauli_flow`` still backtracks.
 
 The whole-row form ``kappa_row`` evaluates the predicate against every
 candidate ``v`` at once with a handful of integer operations; the searches
@@ -432,68 +437,47 @@ def certificate_violation(g: OpenGraph, cert: FlowCertificate) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Certificate search (exhaustive; instance sizes are capped).
+# Certificate search (instance sizes are capped).
 
 
 def find_pauli_flow(g: OpenGraph, max_vertices: int = 8) -> FlowCertificate | None:
-    """First correction function (canonical order) whose corrector graph is
-    acyclic, with the reachability order; None when no choice works.
+    """A Pauli flow found by layer peeling, with the reachability order of its
+    corrector graph; None when the graph has none.
+
+    Each round places every vertex that has a correction set (first in
+    canonical order) whose correctors are all placed already; they are the
+    vertices that may be measured after it.  Placing vertices only widens
+    that choice, so a vertex placeable now stays placeable later, and a
+    round that places nothing proves that no flow exists.
     """
     if len(g.graph.vertices) > max_vertices:
         raise ResourceLimitError(
             f"graph has {len(g.graph.vertices)} vertices; bound is {max_vertices}"
         )
-    measured = g.measured_vertices()
-    candidates: list[list[tuple[int, int]]] = []
-    for u in measured:
-        bu = 1 << u
-        opts = []
-        for d in subsets(g.non_inputs):
-            row = kappa_row(g, d, u)
-            if not row & bu:
-                opts.append((d, row))
-        if not opts:
-            return None
-        candidates.append(opts)
-
+    odd = {d: odd_neighborhood(g, d) for d in subsets(g.non_inputs)}
+    candidates = {
+        u: [(d, kappa_row(g, d, u, od)) for d, od in odd.items()]
+        for u in g.measured_vertices()
+    }
     chosen_d: dict[int, int] = {}
     chosen_row: dict[int, int] = {}
-
-    def acyclic_with(u: int, row: int) -> bool:
-        # Cycle through u using only already-decided rows?
-        seen = 0
-        frontier = row
-        while frontier:
-            if (frontier >> u) & 1:
-                return False
-            seen |= frontier
-            nxt = 0
-            for w in iter_bits(frontier):
-                if w in chosen_row:
-                    nxt |= chosen_row[w]
-            frontier = nxt & ~seen
-        return True
-
-    def walk(i: int) -> bool:
-        if i == len(measured):
-            return True
-        u = measured[i]
-        for d, row in candidates[i]:
-            if not acyclic_with(u, row):
-                continue
+    placed = 0
+    while candidates:
+        layer = {}
+        for u, opts in candidates.items():
+            for d, row in opts:
+                if not row & ~placed:
+                    layer[u] = d, row
+                    break
+        if not layer:
+            return None
+        for u, (d, row) in layer.items():
+            del candidates[u]
             chosen_d[u] = d
             chosen_row[u] = row
-            if walk(i + 1):
-                return True
-            del chosen_d[u], chosen_row[u]
-        return False
-
-    if not walk(0):
-        return None
-    kp = Digraph(tuple(g.graph.vertices), tuple(sorted(chosen_row.items())))
-    reach = kp.reachability()
-    assert reach is not None
-    pairs = [(u, v) for u in measured for v in iter_bits(reach[u] & g.measured)]
+            placed |= 1 << u
+    reach = _close(chosen_row)
+    pairs = [(u, v) for u in reach for v in iter_bits(reach[u])]
     order = StrictPartialOrder.make(g.measured, pairs)
     return FlowCertificate.make("pauli", g, chosen_d, order)
 
@@ -716,17 +700,15 @@ def correction_partition(
 
 
 def find_inducing_certificate(pat: Pattern, kind: str = "extended") -> FlowCertificate | None:
-    """Exhaustive search for a flow certificate that induces ``pat``.
+    """A flow certificate of the given kind that induces ``pat``, or None.
 
-    The certificate order searched is the pattern's own measurement chain:
-    among orders compatible with the pattern, the chain has the fewest
-    vertices that might correct from the past and the largest at-or-before
-    sets for compensations, so a certificate over any compatible partial
-    order implies one over the chain.  Correction sets are enumerated over
-    every choice consistent with the pattern's X/Z targets, then
-    compensations are searched where the extended kind needs them.  Returns
-    the first hit; None if the pattern is not induced by any certificate of
-    the kind.
+    The certificate order is the pattern's own measurement chain: among
+    orders compatible with the pattern, the chain has the fewest vertices
+    that might correct from the past and the largest at-or-before sets for
+    compensations, so a certificate over any compatible partial order
+    implies one over the chain.  Each vertex's candidate correction sets
+    are those consistent with its X/Z targets (for gflow, also its plane
+    clause); :func:`_choose_corrections` picks one per vertex.
     """
     if kind not in ("gflow", "pauli", "extended"):
         raise DomainError(f"unknown flow kind {kind!r}")
@@ -750,6 +732,8 @@ def find_inducing_certificate(pat: Pattern, kind: str = "extended") -> FlowCerti
         if s.x_corr & ~fut or s.z_corr & ~fut:
             return None
         free = g.non_inputs & g.measured & ~fut
+        # No kind lets u correct itself; the plain kinds allow no past corrector.
+        barred = 1 << u if kind == "extended" else ~order.after(u)
         opts = []
         for extra in subsets(free):
             d = s.x_corr | extra
@@ -757,55 +741,68 @@ def find_inducing_certificate(pat: Pattern, kind: str = "extended") -> FlowCerti
             if od & fut != s.z_corr:
                 continue
             row = kappa_row(g, d, u, od)
-            if kind in ("pauli", "gflow"):
-                if row & ~order.after(u):
+            if row & barred:
+                continue
+            if kind == "gflow":
+                want_in_p, want_in_odd = _PLANE_CLAUSES[g.label(u).value]
+                if bool((d >> u) & 1) != want_in_p or bool((od >> u) & 1) != want_in_odd:
                     continue
-                if kind == "gflow":
-                    want_in_p, want_in_odd = _PLANE_CLAUSES[g.label(u).value]
-                    if bool((d >> u) & 1) != want_in_p or bool((od >> u) & 1) != want_in_odd:
-                        continue
             opts.append((d, row))
         if not opts:
             return None
         cands[u] = opts
 
-    if kind in ("pauli", "gflow"):
-        p = {u: cands[u][0][0] for u in seq}
-        return FlowCertificate.make(kind, g, p, order)
+    chosen = _choose_corrections(g, seq, cands, odd)
+    if chosen is None:
+        return None
+    p, comps = chosen
+    return FlowCertificate.make(kind, g, p, order, comps)
 
-    pos = {v: i for i, v in enumerate(seq)}
-    chosen: dict[int, int] = {}
-    rows: dict[int, int] = {}
+
+def _choose_corrections(
+    g: OpenGraph,
+    seq: Sequence[int],
+    cands: Mapping[int, Sequence[tuple[int, int]]],
+    odd: Mapping[int, int],
+) -> tuple[dict[int, int], dict[int, int]] | None:
+    """Correction and compensation sets for the measurement chain ``seq``.
+
+    ``cands[u]`` lists ``u``'s candidate ``(d, kappa_row)`` pairs in order of
+    preference, self-correcting sets already dropped.  A past corrector
+    ``v`` of ``u`` (in the row, earlier in ``seq``) must be plane-measured
+    and have a compensation inside the prefix of ``seq`` ending at ``u``.
+    That clause involves ``u``'s row alone, and a compensation that exists
+    for a prefix exists for every longer one, so each vertex takes its first
+    admissible candidate on its own.  ``D_v`` is the compensation at the
+    prefix of the earliest ``u`` that needs ``v``.  Returns ``(p, D)``, or
+    None when some vertex has no admissible candidate.
+    """
+    planes = mask_of(v for v in seq if g.label(v).is_plane)
+    cache: dict[tuple[int, int], int | None] = {}
+
+    def compensation(v: int, prefix: int) -> int | None:
+        if (v, prefix) not in cache:
+            cache[v, prefix] = _find_compensation_rel(g, odd, v, prefix)
+        return cache[v, prefix]
+
+    p: dict[int, int] = {}
     comps: dict[int, int] = {}
-
-    def assign(j: int) -> bool:
-        if j < 0:
-            return True
-        v = seq[j]
-        bv = 1 << v
-        for d, row_v in cands[v]:
-            u_set = [u for u in seq[j + 1 :] if (rows[u] >> v) & 1]
-            if (row_v >> v) & 1:
-                u_set.append(v)
-            if u_set:
-                if not g.label(v).is_plane or v in u_set:
-                    continue
-                allowed = mask_of(w for w in seq if pos[w] <= min(pos[u] for u in u_set))
-                comp = _find_compensation_rel(g, odd, v, allowed)
-                if comp is None:
-                    continue
-                comps[v] = comp
-            chosen[v] = d
-            rows[v] = row_v
-            if assign(j - 1):
-                return True
-            del chosen[v], rows[v]
-            comps.pop(v, None)
-        return False
-
-    if assign(len(seq) - 1):
-        return FlowCertificate.make("extended", g, chosen, order, comps)
-    return None
+    before = 0
+    for u in seq:
+        prefix = before | 1 << u
+        for d, row in cands[u]:
+            past = row & before
+            if not past & ~planes and all(
+                compensation(v, prefix) is not None for v in iter_bits(past)
+            ):
+                break
+        else:
+            return None
+        p[u] = d
+        for v in iter_bits(past):
+            comps.setdefault(v, compensation(v, prefix))
+        before = prefix
+    return p, comps
 
 
 def _find_compensation_rel(

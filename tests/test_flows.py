@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from mbqc import (
     Graph,
     Label,
     OpenGraph,
+    Pattern,
     PreconditionError,
     StrictPartialOrder,
     check_extended_pauli_flow,
@@ -327,6 +329,23 @@ def test_find_pauli_flow_matches_brute_force():
     assert count_with > 0
 
 
+def test_find_pauli_flow_certificates_on_random_8_vertex_graphs():
+    # At this size a backtracking search over correction functions ran for
+    # more than 20 s on some graphs.
+    rng = random.Random(2109)
+    found = none = 0
+    for _ in range(150):
+        og = random_open_graph(rng, 8)
+        cert = find_pauli_flow(og)
+        if cert is None:
+            none += 1
+            continue
+        found += 1
+        assert check_pauli_flow(og, cert.p_map(), cert.order)
+        assert check_pauli_flow_original(og, cert.p_map(), cert.order)
+    assert found > 0 and none > 0
+
+
 def test_find_extended_pauli_flow_soundness_and_pf_subsumption():
     for og in all_open_graphs(2):
         pf = find_pauli_flow(og)
@@ -441,6 +460,44 @@ def test_find_inducing_certificate_roundtrip():
     assert found is not None
     assert is_induced_by(pat, found)
     assert check_extended_pauli_flow(og, found)
+
+
+def chain_and_twin(n: int) -> tuple[Pattern, Pattern]:
+    """A pattern induced by the flow p(u) = {u+1} on an n-qubit chain (input
+    0, output n-1, labels XY/X/Y in turn) and its twin without the X
+    correction of the last step.
+    """
+    g = Graph.make(range(n), [(u, u + 1) for u in range(n - 1)])
+    measured = list(range(n - 1))
+    labels = {u: (Label.XY, Label.X, Label.Y)[u % 3] for u in measured}
+    og = OpenGraph.make(g, [0], [n - 1], labels)
+    angles = {u: Angle.of_pi("1/4") if labels[u].is_plane else Angle.ZERO for u in measured}
+    p = {u: 1 << (u + 1) for u in measured}
+    pat = induced_pattern(og, p, StrictPartialOrder.chain(measured), measured, angles)
+    last = dataclasses.replace(pat.steps[-1], x_corr=0)
+    return pat, dataclasses.replace(pat, steps=pat.steps[:-1] + (last,))
+
+
+def test_find_inducing_certificate_chain_twin_is_fast():
+    # The twin's last step admits every subset of the earlier vertices that
+    # leaves its Z targets alone; a backtracking search took 77 s at 11 qubits.
+    pat, twin = chain_and_twin(14)
+    for kind in ("extended", "pauli", "gflow"):
+        assert find_inducing_certificate(twin, kind) is None
+    cert = find_inducing_certificate(pat, "extended")
+    assert cert is not None
+    assert is_induced_by(pat, cert)
+    assert check_extended_pauli_flow(cert.graph, cert)
+
+
+def test_find_inducing_certificate_agrees_with_oracle_on_chain():
+    from mbqc import is_robustly_deterministic
+
+    pat, twin = chain_and_twin(11)
+    assert is_robustly_deterministic(pat)
+    assert find_inducing_certificate(pat) is not None
+    assert not is_robustly_deterministic(twin)
+    assert find_inducing_certificate(twin) is None
 
 
 def test_determinism_iff_certificate_random_stress():
