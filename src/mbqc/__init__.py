@@ -4,144 +4,58 @@ Pattern IR and notation, open-graph flow analyzers (gflow, Pauli flow, and
 the extended variant), an exact dense simulator with a robust-determinism
 oracle, and the Pauli-push rewrite system, cross-validated by brute force
 on small instances.
+
+The public names are imported from their submodule on first use, so that
+``import mbqc`` loads numpy only once a simulator name is touched.
 """
 
 from __future__ import annotations
 
-from .angles import Angle
-from .bits import bit_list, mask_of
-from .errors import (
-    CertificateIncompleteError,
-    DocumentError,
-    DomainError,
-    InvariantViolationError,
-    MbqcError,
-    PatternSyntaxError,
-    PreconditionError,
-    PushInapplicableError,
-    ResourceLimitError,
-    UniverseMismatchError,
-)
-from .flows import (
-    CorrectionFunction,
-    CorrectionPartition,
-    Digraph,
-    FlowCertificate,
-    StrictPartialOrder,
-    check_extended_pauli_flow,
-    check_gflow,
-    check_pauli_flow,
-    check_pauli_flow_original,
-    correction_partition,
-    corrector_graph,
-    find_extended_pauli_flow,
-    find_inducing_certificate,
-    find_pauli_flow,
-    induced_pattern,
-    is_corrector,
-    is_induced_by,
-)
-from .graphs import Axis, Graph, Label, OpenGraph, codd, odd_neighborhood
-from .notation import parse_pattern, serialize_pattern
-from .pauli import PauliOperator, pauli_commutes, pauli_multiply, stabilizer_of
-from .patterns import (
-    MeasurementStep,
-    Pattern,
-    is_pauli_first,
-    underlying_open_graph,
-    validate,
-)
-from .rewrite import (
-    PushChoice,
-    RewriteTrace,
-    normalize_pauli_first,
-    pauli_inversions,
-    push_step,
-    push_step_robust,
-)
-from .simulate import (
-    BranchMap,
-    MeasurementBasisPair,
-    QuantumState,
-    Superoperator,
-    branch_map,
-    classify_branch_relation,
-    enumerate_projected_stabilizers,
-    graph_state,
-    is_robustly_deterministic,
-    measurement_basis,
-    plane_fixed_point,
-    semantics,
-    stabilizer_sign,
-    superoperator_equal,
-)
+import importlib
 
-__all__ = [
-    "Angle",
-    "Axis",
-    "BranchMap",
-    "CertificateIncompleteError",
-    "CorrectionFunction",
-    "CorrectionPartition",
-    "Digraph",
-    "DocumentError",
-    "DomainError",
-    "FlowCertificate",
-    "Graph",
-    "InvariantViolationError",
-    "Label",
-    "MbqcError",
-    "MeasurementBasisPair",
-    "MeasurementStep",
-    "OpenGraph",
-    "Pattern",
-    "PatternSyntaxError",
-    "PauliOperator",
-    "PreconditionError",
-    "PushChoice",
-    "PushInapplicableError",
-    "QuantumState",
-    "ResourceLimitError",
-    "RewriteTrace",
-    "StrictPartialOrder",
-    "Superoperator",
-    "UniverseMismatchError",
-    "bit_list",
-    "branch_map",
-    "check_extended_pauli_flow",
-    "check_gflow",
-    "check_pauli_flow",
-    "check_pauli_flow_original",
-    "classify_branch_relation",
-    "codd",
-    "correction_partition",
-    "corrector_graph",
-    "enumerate_projected_stabilizers",
-    "find_extended_pauli_flow",
-    "find_inducing_certificate",
-    "find_pauli_flow",
-    "graph_state",
-    "induced_pattern",
-    "is_corrector",
-    "is_induced_by",
-    "is_pauli_first",
-    "is_robustly_deterministic",
-    "mask_of",
-    "measurement_basis",
-    "normalize_pauli_first",
-    "odd_neighborhood",
-    "parse_pattern",
-    "pauli_commutes",
-    "pauli_inversions",
-    "pauli_multiply",
-    "plane_fixed_point",
-    "push_step",
-    "push_step_robust",
-    "semantics",
-    "serialize_pattern",
-    "stabilizer_of",
-    "stabilizer_sign",
-    "superoperator_equal",
-    "underlying_open_graph",
-    "validate",
-]
+_EXPORTS = {
+    "angles": ("Angle",),
+    "bits": ("bit_list", "mask_of"),
+    "errors": (
+        "CertificateIncompleteError", "DocumentError", "DomainError", "InvariantViolationError",
+        "MbqcError", "PatternSyntaxError", "PreconditionError", "PushInapplicableError",
+        "ResourceLimitError", "UniverseMismatchError",
+    ),
+    "flows": (
+        "CorrectionFunction", "CorrectionPartition", "Digraph", "FlowCertificate",
+        "StrictPartialOrder", "check_extended_pauli_flow", "check_gflow", "check_pauli_flow",
+        "check_pauli_flow_original", "correction_partition", "corrector_graph",
+        "find_extended_pauli_flow", "find_inducing_certificate", "find_pauli_flow",
+        "induced_pattern", "is_corrector", "is_induced_by",
+    ),
+    "graphs": ("Axis", "Graph", "Label", "OpenGraph", "codd", "odd_neighborhood"),
+    "notation": ("parse_pattern", "serialize_pattern"),
+    "pauli": ("PauliOperator", "pauli_commutes", "pauli_multiply", "stabilizer_of"),
+    "patterns": ("MeasurementStep", "Pattern", "is_pauli_first", "underlying_open_graph", "validate"),
+    "rewrite": (
+        "PushChoice", "RewriteTrace", "normalize_pauli_first", "pauli_inversions", "push_step",
+        "push_step_robust",
+    ),
+    "simulate": (
+        "BranchMap", "MeasurementBasisPair", "QuantumState", "Superoperator", "branch_map",
+        "classify_branch_relation", "enumerate_projected_stabilizers", "graph_state",
+        "is_robustly_deterministic", "measurement_basis", "plane_fixed_point", "semantics",
+        "stabilizer_sign", "superoperator_equal",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys())

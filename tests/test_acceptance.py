@@ -57,6 +57,7 @@ def test_criterion_7_projected_stabilizers():
 def test_criterion_8_fixed_point_suites():
     result = _run(acceptance.criterion_8)
     assert result.passed, result.detail
+    assert "pauli-absorb 1200/0f" in result.detail
 
 
 def test_criterion_9_necessity_on_restricted_corpora():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -231,3 +232,13 @@ def test_bad_max_qubits_variable_exits_2(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("MBQC_MAX_QUBITS", value)
     assert main(["check-determinism", ppath]) == 2
     assert "MBQC_MAX_QUBITS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", [None, "4"])
+def test_blas_threads_default_to_one(monkeypatch, capsys, preset):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    assert main(["corpus-verify", "--criteria", "x"]) == 2
+    assert os.environ["OPENBLAS_NUM_THREADS"] == (preset or "1")
