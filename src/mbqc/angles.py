@@ -47,7 +47,10 @@ class Angle:
         if self.pi_mult is not None:
             object.__setattr__(self, "pi_mult", Fraction(self.pi_mult) % 2)
         if self.real is not None:
-            r = math.fmod(float(self.real), _TWO_PI)
+            value = float(self.real)
+            if not math.isfinite(value):
+                raise DomainError(f"real angle must be finite, got {value!r}")
+            r = math.fmod(value, _TWO_PI)
             if r < 0.0:
                 r += _TWO_PI
             # A tiny negative value rounds up to exactly 2 pi; that is 0.

@@ -18,30 +18,26 @@ from typing import Any
 
 from .angles import Angle
 from .documents import (
+    FLOW_KINDS,
     angle_from_json,
     certificate_from_json,
     certificate_to_json,
     dump_json,
+    id_from_text,
+    id_map_from_json,
     load_json,
     open_graph_from_json,
     pattern_from_json,
     pattern_to_json,
 )
-from .errors import (
-    CertificateIncompleteError,
-    DocumentError,
-    MbqcError,
-    ResourceLimitError,
-)
+from .errors import CertificateIncompleteError, DocumentError, MbqcError
 from .flows import (
     certificate_violation,
     find_extended_pauli_flow,
     find_pauli_flow,
     induced_pattern,
 )
-from .patterns import validate
-
-_KIND_ALIASES = {"epf": "extended", "extended": "extended", "pauli": "pauli", "gflow": "gflow"}
+from .patterns import Pattern, validate
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -49,11 +45,22 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DocumentError(f"{what} must be an integer, got {text!r}") from None
+def _comma_ids(text: str, what: str) -> list[int]:
+    """A comma-separated list of ids (vertices or criterion numbers); blank
+    items are skipped."""
+    return [id_from_text(x.strip(), what) for x in text.split(",") if x.strip()]
+
+
+def _valid_pattern(path: str, numeric: bool = False) -> Pattern:
+    """The pattern document at ``path``; with ``numeric``, also require every
+    angle to be bound."""
+    pat = pattern_from_json(load_json(path))
+    problems = validate(pat)
+    if problems:
+        raise DocumentError("invalid pattern: " + "; ".join(problems))
+    if numeric and any(s.angle.is_symbolic for s in pat.steps):
+        raise DocumentError("pattern has unbound angle variables")
+    return pat
 
 
 def _sig12(x: float) -> float:
@@ -63,12 +70,8 @@ def _sig12(x: float) -> float:
 def cmd_check_flow(args: argparse.Namespace) -> int:
     graph = open_graph_from_json(load_json(args.graph))
     cert = certificate_from_json(load_json(args.certificate), graph)
-    if args.kind is not None:
-        wanted = _KIND_ALIASES.get(args.kind)
-        if wanted is None:
-            return _fail(f"unknown flow kind {args.kind!r}")
-        if wanted != cert.kind:
-            return _fail(f"certificate kind is {cert.kind!r}, not {wanted!r}")
+    if args.kind is not None and FLOW_KINDS[args.kind] != cert.kind:
+        return _fail(f"certificate kind is {cert.kind!r}, not {FLOW_KINDS[args.kind]!r}")
     try:
         violation = certificate_violation(graph, cert)
     except CertificateIncompleteError as exc:
@@ -84,10 +87,7 @@ def cmd_check_flow(args: argparse.Namespace) -> int:
 
 def cmd_find_flow(args: argparse.Namespace) -> int:
     graph = open_graph_from_json(load_json(args.graph))
-    kind = _KIND_ALIASES.get(args.kind)
-    if kind not in ("pauli", "extended"):
-        return _fail(f"find-flow supports kinds 'pauli' and 'epf', not {args.kind!r}")
-    finder = find_pauli_flow if kind == "pauli" else find_extended_pauli_flow
+    finder = find_pauli_flow if args.kind == "pauli" else find_extended_pauli_flow
     if args.max_vertices is not None:
         cert = finder(graph, max_vertices=args.max_vertices)
     else:
@@ -100,15 +100,10 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_check_determinism(args: argparse.Namespace) -> int:
-    from .simulate import is_robustly_deterministic
+    from .simulate import DEFAULT_TOL, is_robustly_deterministic
 
-    pat = pattern_from_json(load_json(args.pattern))
-    problems = validate(pat)
-    if problems:
-        return _fail("invalid pattern: " + "; ".join(problems))
-    if any(s.angle.is_symbolic for s in pat.steps):
-        return _fail("pattern has unbound angle variables")
-    report = is_robustly_deterministic(pat, tol=args.tol)
+    pat = _valid_pattern(args.pattern, numeric=True)
+    report = is_robustly_deterministic(pat, tol=DEFAULT_TOL if args.tol is None else args.tol)
     print(f"robustly-deterministic: {'yes' if report.ok else 'no'}")
     for step in report.steps:
         eps = ", ".join(f"{e:.6g}" for e in step.epsilons)
@@ -126,10 +121,7 @@ def cmd_check_determinism(args: argparse.Namespace) -> int:
 def cmd_push_pauli(args: argparse.Namespace) -> int:
     from .rewrite import normalize_pauli_first, normalize_with_trace
 
-    pat = pattern_from_json(load_json(args.pattern))
-    problems = validate(pat)
-    if problems:
-        return _fail("invalid pattern: " + "; ".join(problems))
+    pat = _valid_pattern(args.pattern)
     if args.strategy == "first":
         if args.emit_trace:
             out, trace = normalize_with_trace(pat)
@@ -148,13 +140,7 @@ def cmd_push_pauli(args: argparse.Namespace) -> int:
 def cmd_semantics(args: argparse.Namespace) -> int:
     from .simulate import semantics
 
-    pat = pattern_from_json(load_json(args.pattern))
-    problems = validate(pat)
-    if problems:
-        return _fail("invalid pattern: " + "; ".join(problems))
-    if any(s.angle.is_symbolic for s in pat.steps):
-        return _fail("pattern has unbound angle variables")
-    sup = semantics(pat)
+    sup = semantics(_valid_pattern(args.pattern, numeric=True))
     choi = [
         [[_sig12(z.real), _sig12(z.imag)] for z in row]
         for row in sup.choi
@@ -170,26 +156,21 @@ def cmd_semantics(args: argparse.Namespace) -> int:
 
 
 def _parse_angles(raw: str | None, graph) -> dict[int, Angle]:
-    angles: dict[int, Angle] = {}
-    payload: dict[str, Any] = {}
-    if raw:
-        if raw.startswith("@"):
-            payload = load_json(raw[1:])
-        else:
-            try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DocumentError(f"bad angles JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise DocumentError("angles must be a JSON object")
-    for key, value in payload.items():
-        v = _int(key, "angles key")
-        if v not in graph.measured_vertices():
-            raise DocumentError(f"angles key {key!r} is not a measured vertex")
-        angles[v] = angle_from_json(value)
-    for v in graph.measured_vertices():
-        if v not in angles:
-            angles[v] = Angle.of_pi("1/4") if graph.label(v).is_plane else Angle.ZERO
+    payload: Any = {}
+    if raw and raw.startswith("@"):
+        payload = load_json(raw[1:])
+    elif raw:
+        try:
+            payload = json.loads(raw)
+        except ValueError as exc:
+            raise DocumentError(f"bad angles JSON: {exc}") from None
+    angles = id_map_from_json(payload, "angles", lambda value, _: angle_from_json(value))
+    measured = graph.measured_vertices()
+    for v in angles:
+        if v not in measured:
+            raise DocumentError(f"angles key {v} is not a measured vertex")
+    for v in measured:
+        angles.setdefault(v, Angle.of_pi("1/4") if graph.label(v).is_plane else Angle.ZERO)
     return angles
 
 
@@ -198,7 +179,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     cert = certificate_from_json(load_json(args.certificate), graph)
     angles = _parse_angles(args.angles, graph)
     if args.total_order:
-        total = [_int(x, "--total-order vertex") for x in args.total_order.split(",") if x.strip()]
+        total = _comma_ids(args.total_order, "--total-order vertex")
     else:
         total = cert.order.canonical_extension()
     pat = induced_pattern(graph, cert.p_map(), cert.order, total, angles)
@@ -209,7 +190,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
 def cmd_corpus_verify(args: argparse.Namespace) -> int:
     numbers = None
     if args.criteria is not None:
-        numbers = [_int(x, "criterion") for x in args.criteria.split(",") if x.strip()]
+        numbers = _comma_ids(args.criteria, "criterion")
     # Imported after the parse, so that a non-integer exits 2 without numpy.
     from .acceptance import ALL_CRITERIA, run_all
 
@@ -239,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-determinism", help="robust-determinism oracle")
     p.add_argument("pattern")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=cmd_check_determinism)
 
     p = sub.add_parser("push-pauli", help="normalize to a Pauli-first pattern")
@@ -272,10 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DocumentError as exc:
-        return _fail(str(exc))
-    except ResourceLimitError as exc:
-        return _fail(str(exc))
     except MbqcError as exc:
         return _fail(str(exc))
 

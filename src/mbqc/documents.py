@@ -14,24 +14,28 @@ kind (``epf``, ``pauli``, or ``gflow``)::
     {"kind": "epf", "p": {"0": [0, 4]}, "order": [[0, 1]], "D": {"1": [2]}}
 
 Certificates do not embed their graph; parsing one requires the open graph
-it refers to.
+it refers to.  Vertex ids are non-negative JSON integers, or ASCII decimal
+digits where they are object keys; real angles are finite.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from .angles import Angle
 from .bits import bit_list, mask_of
-from .errors import DocumentError
+from .errors import DocumentError, DomainError
 from .flows import FlowCertificate, StrictPartialOrder
 from .graphs import Graph, Label, OpenGraph
 from .patterns import MeasurementStep, Pattern
 
-_FLOW_KINDS = {"epf": "extended", "pauli": "pauli", "gflow": "gflow"}
-_FLOW_NAMES = {v: k for k, v in _FLOW_KINDS.items()}
+#: Certificate document kind -> flow kind.
+FLOW_KINDS = {"epf": "extended", "pauli": "pauli", "gflow": "gflow"}
+_FLOW_NAMES = {v: k for k, v in FLOW_KINDS.items()}
+
+_T = TypeVar("_T")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -39,12 +43,48 @@ def _require(condition: bool, message: str) -> None:
         raise DocumentError(message)
 
 
-def _vertex_list(payload: Any, what: str) -> list[int]:
+def _id(x: Any, what: str) -> int:
+    """A vertex id written as a JSON number: a non-negative integer, not a
+    bool or a float."""
+    _require(type(x) is int and x >= 0, f"{what}: expected a non-negative integer, got {x!r}")
+    return x
+
+
+def id_from_text(text: str, what: str) -> int:
+    """A vertex id written as a string (an object key or an argument): ASCII
+    decimal digits only."""
+    _require(
+        text.isascii() and text.isdigit(), f"{what}: expected a non-negative integer, got {text!r}"
+    )
+    return int(text)
+
+
+def _ids(payload: Any, what: str) -> list[int]:
     _require(isinstance(payload, list), f"{what} must be a list")
+    return [_id(v, what) for v in payload]
+
+
+def _id_set(payload: Any, what: str) -> int:
+    return mask_of(_ids(payload, what))
+
+
+def _id_pairs(payload: Any, what: str) -> list[tuple[int, int]]:
+    _require(isinstance(payload, list), f"{what} must be a list of pairs")
     out = []
-    for v in payload:
-        _require(isinstance(v, int) and v >= 0, f"{what} must hold non-negative integers")
-        out.append(v)
+    for pair in payload:
+        _require(isinstance(pair, list) and len(pair) == 2, f"{what} entries must be pairs")
+        out.append((_id(pair[0], what), _id(pair[1], what)))
+    return out
+
+
+def id_map_from_json(payload: Any, what: str, read: Callable[[Any, str], _T]) -> dict[int, _T]:
+    """An object keyed by vertex ids, each value read by ``read(value, what)``."""
+    _require(isinstance(payload, dict), f"{what} must be an object")
+    out = {
+        id_from_text(key, f"{what} key"): read(value, f"{what}({key})")
+        for key, value in payload.items()
+    }
+    _require(len(out) == len(payload), f"{what} repeats a vertex")
     return out
 
 
@@ -68,13 +108,17 @@ def angle_from_json(payload: Any) -> Angle:
     _require(isinstance(payload, dict) and len(payload) == 1, "angle must be a one-key object")
     key, value = next(iter(payload.items()))
     if key == "pi_mult":
+        _require(type(value) in (str, int, float), f"bad pi_mult {value!r}")
         try:
             return Angle.of_pi(Fraction(value))
-        except (ValueError, ZeroDivisionError, TypeError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise DocumentError(f"bad pi_mult {value!r}") from None
     if key == "real":
-        _require(isinstance(value, (int, float)), "real angle must be a number")
-        return Angle.of_real(float(value))
+        _require(type(value) in (int, float), "real angle must be a number")
+        try:
+            return Angle.of_real(value)
+        except (DomainError, OverflowError):
+            raise DocumentError(f"real angle must be finite, got {value!r}") from None
     if key == "var":
         _require(isinstance(value, str) and bool(value), "angle variable must be a name")
         return Angle.variable(value)
@@ -93,16 +137,11 @@ def open_graph_to_json(g: OpenGraph) -> dict[str, Any]:
 
 
 def _graph_fields(payload: dict[str, Any]) -> tuple[Graph, list[int], list[int]]:
-    vertices = _vertex_list(payload.get("vertices"), "vertices")
+    vertices = _ids(payload.get("vertices"), "vertices")
     _require(len(set(vertices)) == len(vertices), "duplicate vertices")
-    edges_raw = payload.get("edges")
-    _require(isinstance(edges_raw, list), "edges must be a list")
-    edges = []
-    for e in edges_raw:
-        _require(isinstance(e, list) and len(e) == 2, "each edge must be a pair")
-        edges.append((int(e[0]), int(e[1])))
-    inputs = _vertex_list(payload.get("inputs", []), "inputs")
-    outputs = _vertex_list(payload.get("outputs", []), "outputs")
+    edges = _id_pairs(payload.get("edges"), "edges")
+    inputs = _ids(payload.get("inputs", []), "inputs")
+    outputs = _ids(payload.get("outputs", []), "outputs")
     try:
         graph = Graph.make(vertices, edges)
     except Exception as exc:
@@ -113,15 +152,7 @@ def _graph_fields(payload: dict[str, Any]) -> tuple[Graph, list[int], list[int]]
 def open_graph_from_json(payload: dict[str, Any]) -> OpenGraph:
     _require(payload.get("kind") == "open-graph", "expected an open-graph document")
     graph, inputs, outputs = _graph_fields(payload)
-    labels_raw = payload.get("labels", {})
-    _require(isinstance(labels_raw, dict), "labels must be an object")
-    labels = {}
-    for key, text in labels_raw.items():
-        try:
-            v = int(key)
-        except ValueError:
-            raise DocumentError(f"bad label key {key!r}") from None
-        labels[v] = _label_from_text(text, f"label of {key}")
+    labels = id_map_from_json(payload.get("labels", {}), "labels", _label_from_text)
     try:
         return OpenGraph.make(graph, inputs, outputs, labels)
     except Exception as exc:
@@ -156,12 +187,12 @@ def pattern_from_json(payload: dict[str, Any]) -> Pattern:
     steps = []
     for i, raw in enumerate(steps_raw):
         _require(isinstance(raw, dict), f"step {i} must be an object")
-        _require(isinstance(raw.get("qubit"), int), f"step {i} needs a qubit")
+        qubit = _id(raw.get("qubit"), f"step {i} qubit")
         label = _label_from_text(raw.get("label"), f"step {i} label")
         angle = angle_from_json(raw.get("angle"))
-        x_corr = mask_of(_vertex_list(raw.get("x_corr", []), f"step {i} x_corr"))
-        z_corr = mask_of(_vertex_list(raw.get("z_corr", []), f"step {i} z_corr"))
-        steps.append(MeasurementStep(raw["qubit"], label, angle, x_corr, z_corr))
+        x_corr = _id_set(raw.get("x_corr", []), f"step {i} x_corr")
+        z_corr = _id_set(raw.get("z_corr", []), f"step {i} z_corr")
+        steps.append(MeasurementStep(qubit, label, angle, x_corr, z_corr))
     pat = Pattern.make(graph, inputs, steps)
     _require(
         pat.outputs == mask_of(outputs),
@@ -183,38 +214,18 @@ def certificate_to_json(cert: FlowCertificate) -> dict[str, Any]:
 
 def certificate_from_json(payload: dict[str, Any], graph: OpenGraph) -> FlowCertificate:
     kind_name = payload.get("kind")
-    _require(kind_name in _FLOW_KINDS, f"unknown certificate kind {kind_name!r}")
-    kind = _FLOW_KINDS[kind_name]
-    p_raw = payload.get("p")
-    _require(isinstance(p_raw, dict), "p must be an object")
-    p = {}
-    for key, targets in p_raw.items():
-        try:
-            u = int(key)
-        except ValueError:
-            raise DocumentError(f"bad p key {key!r}") from None
-        p[u] = mask_of(_vertex_list(targets, f"p({key})"))
-    order_raw = payload.get("order", [])
-    _require(isinstance(order_raw, list), "order must be a list of pairs")
-    pairs = []
-    for pair in order_raw:
-        _require(isinstance(pair, list) and len(pair) == 2, "order entries must be pairs")
-        pairs.append((int(pair[0]), int(pair[1])))
+    _require(
+        isinstance(kind_name, str) and kind_name in FLOW_KINDS,
+        f"unknown certificate kind {kind_name!r}",
+    )
+    p = id_map_from_json(payload.get("p"), "p", _id_set)
+    pairs = _id_pairs(payload.get("order", []), "order")
     try:
         order = StrictPartialOrder.make(graph.measured, pairs)
     except Exception as exc:
         raise DocumentError(f"bad order: {exc}") from None
-    comp = {}
-    if "D" in payload:
-        d_raw = payload["D"]
-        _require(isinstance(d_raw, dict), "D must be an object")
-        for key, targets in d_raw.items():
-            try:
-                v = int(key)
-            except ValueError:
-                raise DocumentError(f"bad D key {key!r}") from None
-            comp[v] = mask_of(_vertex_list(targets, f"D({key})"))
-    return FlowCertificate.make(kind, graph, p, order, comp)
+    comp = id_map_from_json(payload["D"], "D", _id_set) if "D" in payload else {}
+    return FlowCertificate.make(FLOW_KINDS[kind_name], graph, p, order, comp)
 
 
 def load_json(path: str) -> dict[str, Any]:
@@ -223,7 +234,7 @@ def load_json(path: str) -> dict[str, Any]:
             payload = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bad UTF-8, or an integer past the digit limit
         raise DocumentError(f"{path}: invalid JSON ({exc})") from None
     _require(isinstance(payload, dict), f"{path}: document must be a JSON object")
     return payload

@@ -419,15 +419,6 @@ def extended_pauli_flow_violation(g: OpenGraph, cert: FlowCertificate) -> str | 
     return None
 
 
-def check_certificate(g: OpenGraph, cert: FlowCertificate) -> bool:
-    """Dispatch to the checker matching the certificate kind."""
-    if cert.kind == "pauli":
-        return check_pauli_flow(g, cert.p_map(), cert.order)
-    if cert.kind == "gflow":
-        return check_gflow(g, cert.p_map(), cert.order)
-    return check_extended_pauli_flow(g, cert)
-
-
 def certificate_violation(g: OpenGraph, cert: FlowCertificate) -> str | None:
     if cert.kind == "pauli":
         return pauli_flow_violation(g, cert.p_map(), cert.order)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .angles import Angle
 from .bits import bit_list, mask_of
-from .errors import PatternSyntaxError
+from .errors import DomainError, PatternSyntaxError
 from .graphs import Graph, Label
 from .patterns import MeasurementStep, Pattern
 
@@ -66,14 +66,15 @@ def parse_angle(text: str, pos: int = 0) -> Angle:
             mult /= int(m.group(2))
         return Angle.of_pi(mult)
     if _NUMBER.match(text):
-        if re.match(r"^-?\d+$", text):
-            # Plain integers are exact multiples of pi^0: radians 0 is the
-            # only Def-1-relevant case, keep it exact.
-            value = int(text)
-            if value == 0:
-                return Angle.of_pi(0)
-            return Angle.of_real(float(value))
-        return Angle.of_real(float(text))
+        value = float(text)
+        # Plain integers are exact multiples of pi^0: radians 0 is the
+        # only Def-1-relevant case, keep it exact.
+        if value == 0 and re.match(r"^-?\d+$", text):
+            return Angle.of_pi(0)
+        try:
+            return Angle.of_real(value)
+        except DomainError as exc:
+            raise PatternSyntaxError(str(exc), pos) from None
     if _NAME.match(text):
         return Angle.variable(text)
     raise PatternSyntaxError(f"cannot parse angle {text!r}", pos)

@@ -216,23 +216,21 @@ def _leftmost_redex(pat: Pattern) -> int | None:
     return None
 
 
-def normalize_pauli_first(
-    pat: Pattern, strategy: str = "first", max_steps: int | None = None
-) -> Pattern | frozenset[Pattern]:
+def normalize_pauli_first(pat: Pattern, strategy: str = "first") -> Pattern | frozenset[Pattern]:
     """Push Pauli measurements until none can move earlier.
 
     ``first`` resolves every nondeterministic choice canonically (drop R,
     first plane axis) and returns a single pattern; ``all`` explores the
     whole choice tree, both R branches and both plane axes, and returns the
-    deduplicated set of normal forms.  The step budget defaults to the exact
+    deduplicated set of normal forms.  The step budget is the exact
     decreasing measure, so exceeding it means a bug, not a big input.
     """
     if strategy == "first":
-        out, _ = normalize_with_trace(pat, max_steps=max_steps)
+        out, _ = normalize_with_trace(pat)
         return out
     if strategy != "all":
         raise DomainError(f"unknown strategy {strategy!r}")
-    budget = pauli_inversions(pat) if max_steps is None else max_steps
+    budget = pauli_inversions(pat)
     normal: set[Pattern] = set()
     seen: set[Pattern] = set()
     frontier = [(pat, 0)]
@@ -253,11 +251,9 @@ def normalize_pauli_first(
     return frozenset(normal)
 
 
-def normalize_with_trace(
-    pat: Pattern, max_steps: int | None = None
-) -> tuple[Pattern, RewriteTrace]:
+def normalize_with_trace(pat: Pattern) -> tuple[Pattern, RewriteTrace]:
     """Deterministic normalization recording every step taken."""
-    budget = pauli_inversions(pat) if max_steps is None else max_steps
+    budget = pauli_inversions(pat)
     entries: list[TraceEntry] = []
     cur = pat
     steps = 0

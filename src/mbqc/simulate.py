@@ -41,7 +41,12 @@ from .graphs import Axis, Graph, Label, OpenGraph, odd_neighborhood
 from .pauli import PauliOperator
 from .patterns import MeasurementStep, OutcomeAssignment, Pattern, outcome_mask, require_valid
 
+#: Default tolerance of the determinism oracle and the state comparisons.
 DEFAULT_TOL = 1e-9
+#: A state norm, or an entry-wise difference, below this counts as zero.
+NORM_FLOOR = 1e-12
+#: Tolerance of the phase and norm checks between projected states.
+PHASE_TOL = 1e-8
 _DEFAULT_MAX_QUBITS = 12
 
 #: Single-qubit eigenbases at angle 0: axis -> (plus, minus).
@@ -417,7 +422,7 @@ def stabilizer_sign(
     state = graph_state(g, input_state)
     moved = apply_pauli(state.vector, state.qubits, d, odd_neighborhood(g, d))
     ref = int(np.argmax(np.abs(state.vector)))
-    if abs(state.vector[ref]) < 1e-12:
+    if abs(state.vector[ref]) < NORM_FLOOR:
         raise InvariantViolationError("resource state is numerically zero")
     ratio = moved[ref] / state.vector[ref]
     for sign in (1, -1):
@@ -438,7 +443,7 @@ class SignedAxis:
         return ("" if self.sign > 0 else "-") + self.axis.value
 
 
-def plane_fixed_point(label: Label, angle: Angle | float, tol: float = 1e-12) -> tuple[SignedAxis, SignedAxis]:
+def plane_fixed_point(label: Label, angle: Angle | float, tol: float = NORM_FLOOR) -> tuple[SignedAxis, SignedAxis]:
     """Axes (P, Q) of the plane with (cos a P + sin a Q) fixing the plus state.
 
     Both orderings and both signs per axis are tried; the orientation of the
@@ -505,7 +510,7 @@ def enumerate_projected_stabilizers(
     amask, xa, za = _assignment_masks(assignment)
     projected = project_assignment(graph, assignment)
     expected = 2.0 ** (-len(assignment) / 2.0)
-    if abs(projected.norm - expected) > max(tol, 1e-9):
+    if abs(projected.norm - expected) > max(tol, DEFAULT_TOL):
         raise PreconditionError(
             f"projection norm {projected.norm:.6g} != 2^(-|A|/2) = {expected:.6g}"
         )
@@ -547,9 +552,9 @@ def brute_force_projected_stabilizers(
 def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> complex | None:
     """Phase c with a = c*b (same norms), or None."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < 1e-12 and nb < 1e-12:
+    if na < NORM_FLOOR and nb < NORM_FLOOR:
         return 1.0 + 0.0j
-    if abs(na - nb) > tol or nb < 1e-12:
+    if abs(na - nb) > tol or nb < NORM_FLOOR:
         return None
     ref = int(np.argmax(np.abs(b)))
     c = a[ref] / b[ref]
@@ -574,7 +579,7 @@ def classify_branch_relation(
     phi_prime: QuantumState,
     u: int,
     label: Label,
-    tol: float = 1e-8,
+    tol: float = PHASE_TOL,
 ) -> BranchRelation:
     """Decide how two states can agree under all plane measurements of u.
 

@@ -212,6 +212,15 @@ def test_corpus_verify_single_criterion(capsys):
         ["induce", "G", "C", "--angles", '{"99": {"real": 0.5}}'],
         ["induce", "G", "C", "--angles", "[1, 2]"],
         ["induce", "G", "C", "--angles", "{not json"],
+        ["induce", "G", "C", "--angles", '{"0": {"real": NaN}}'],
+        ["induce", "G", "C", "--angles", '{"0": {"real": true}}'],
+        ["induce", "G", "C", "--angles", '{"1": {"real": 0.5}, "01": {"real": 0.5}}'],
+        ["induce", "G", "C", "--total-order", "0,+1,2,3"],
+        ["corpus-verify", "--criteria", "+5"],
+        ["check-flow", "G", "Q", "--kind", "gflow"],
+        ["check-flow", "G", "P"],
+        ["check-determinism", "C"],
+        ["semantics", "G"],
     ],
 )
 def test_malformed_arguments_exit_2(tmp_path, argv, capsys):
@@ -219,8 +228,39 @@ def test_malformed_arguments_exit_2(tmp_path, argv, capsys):
     paths = {
         "G": _write(tmp_path, "g.json", open_graph_to_json(og)),
         "C": _write(tmp_path, "c.json", certificate_to_json(cert)),
+        "Q": _write(tmp_path, "q.json", certificate_to_json(find_pauli_flow(og))),
+        "P": _write(tmp_path, "p.json", pattern_to_json(parse_pattern(SRC_A).bind(THETA))),
     }
     assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "kind, mutate",
+    [
+        ("certificate", lambda d: d.update(kind=["epf"])),
+        ("certificate", lambda d: d.update(order=[["x", 1]])),
+        ("certificate", lambda d: d.update(order=[[0, None]])),
+        ("certificate", lambda d: d.update(order=[[0, 1.5]])),
+        ("certificate", lambda d: d["p"].update({"-1": [1]})),
+        ("certificate", lambda d: d["D"].update({"01": [2]})),
+        ("pattern", lambda d: d["steps"][0].update(qubit=-1)),
+        ("pattern", lambda d: d["steps"][0].update(qubit=True)),
+        ("pattern", lambda d: d["steps"][0].update(angle={"real": float("nan")})),
+        ("pattern", lambda d: d["steps"][0].update(angle={"real": float("inf")})),
+    ],
+)
+def test_malformed_documents_exit_2(tmp_path, kind, mutate, capsys):
+    og, cert = extended_flow_example()
+    if kind == "certificate":
+        doc = certificate_to_json(cert)
+        argv = ["check-flow", _write(tmp_path, "g.json", open_graph_to_json(og))]
+    else:
+        doc = pattern_to_json(parse_pattern(SRC_A).bind(THETA))
+        argv = ["check-determinism"]
+    mutate(doc)
+    assert main(argv + [_write(tmp_path, "doc.json", doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
 

@@ -76,6 +76,12 @@ def test_angle_forms_roundtrip():
         {"var": ""},
         {"pi_mult": "1/2", "real": 0.1},
         {"weird": 1},
+        {"real": float("nan")},
+        {"real": float("inf")},
+        {"real": 10**400},
+        {"real": True},
+        {"pi_mult": True},
+        {"pi_mult": float("inf")},
     ],
 )
 def test_bad_angles(payload):
@@ -91,6 +97,10 @@ def test_bad_angles(payload):
         lambda d: d.update(edges=[[0, 0]]),
         lambda d: d.update(labels={"7": "XY"}),
         lambda d: d.update(labels={"0": "Q"}),
+        lambda d: d["labels"].update({"00": "YZ"}),
+        lambda d: d.update(edges=[["a", 1]]),
+        lambda d: d.update(edges=[[0, 1.7]]),
+        lambda d: d.update(vertices=[0, True, 2, 3, 4]),
     ],
 )
 def test_bad_open_graph_documents(mutate):

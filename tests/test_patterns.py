@@ -151,6 +151,7 @@ def test_parse_empty_is_error():
         "X_2^{s_1} N_1 N_2",  # dangling correction
         "E_1 N_1",  # entangler needs two vertices
         "Z_5^{s_1} M_1^X N_1",  # unknown vertex reference
+        "M_1^{XY,1e400} N_1",  # angle overflows to infinity
         "gibberish",
     ],
 )
