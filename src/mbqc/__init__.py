@@ -2,8 +2,9 @@
 
 Pattern IR and notation, open-graph flow analyzers (gflow, Pauli flow, and
 the extended variant), an exact dense simulator with a robust-determinism
-oracle, and the Pauli-push rewrite system, cross-validated by brute force
-on small instances.
+oracle, and the Pauli-push rewrite system, cross-validated on small
+instances by the brute-force references in ``mbqc.oracles`` (not exported
+here).
 
 The public names are imported from their submodule on first use, so that
 ``import mbqc`` loads numpy only once a simulator name is touched.
@@ -22,9 +23,8 @@ _EXPORTS = {
         "ResourceLimitError", "UniverseMismatchError",
     ),
     "flows": (
-        "CorrectionFunction", "CorrectionPartition", "Digraph", "FlowCertificate",
-        "StrictPartialOrder", "check_extended_pauli_flow", "check_gflow", "check_pauli_flow",
-        "check_pauli_flow_original", "correction_partition", "corrector_graph",
+        "CorrectionFunction", "CorrectionPartition", "FlowCertificate", "StrictPartialOrder",
+        "check_extended_pauli_flow", "check_gflow", "check_pauli_flow", "correction_partition",
         "find_extended_pauli_flow", "find_inducing_certificate", "find_pauli_flow",
         "induced_pattern", "is_corrector", "is_induced_by",
     ),

@@ -3,7 +3,8 @@
 Each criterion returns a :class:`CriterionResult`; the CLI command
 ``corpus-verify`` and the pytest acceptance module both drive these
 functions.  Scopes are pinned here and tolerances in ``simulate``; neither
-is configurable.
+is configurable.  The brute-force references that criteria 1 and 7 check
+the library against live in ``oracles``, which only this module imports.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .flows import (
     check_extended_pauli_flow,
     check_pauli_flow,
     check_pauli_flow_many,
-    check_pauli_flow_original_many,
     correction_partition,
     find_extended_pauli_flow,
     find_inducing_certificate,
@@ -45,6 +45,7 @@ from .flows import (
 )
 from .graphs import Axis, Graph, Label, OpenGraph, odd_neighborhood
 from .notation import parse_pattern
+from .oracles import brute_force_projected_stabilizers, check_pauli_flow_original_many
 from .patterns import Pattern, is_pauli_first, underlying_open_graph, validate
 from .rewrite import normalize_pauli_first, push_step
 from .simulate import (
@@ -53,6 +54,7 @@ from .simulate import (
     PHASE_TOL,
     apply_pauli,
     choi_distance,
+    enumerate_projected_stabilizers,
     graph_state,
     is_robustly_deterministic,
     measurement_basis,
@@ -298,10 +300,6 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    from itertools import combinations
-
-    from .simulate import brute_force_projected_stabilizers, enumerate_projected_stabilizers
-
     checked = 0
     skipped = 0
     mismatches = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any
@@ -102,6 +103,8 @@ def cmd_find_flow(args: argparse.Namespace) -> int:
 def cmd_check_determinism(args: argparse.Namespace) -> int:
     from .simulate import DEFAULT_TOL, is_robustly_deterministic
 
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        return _fail(f"--tol must be finite and non-negative, got {args.tol!r}")
     pat = _valid_pattern(args.pattern, numeric=True)
     report = is_robustly_deterministic(pat, tol=DEFAULT_TOL if args.tol is None else args.tol)
     print(f"robustly-deterministic: {'yes' if report.ok else 'no'}")

@@ -15,7 +15,9 @@ every longer one).  ``find_extended_pauli_flow`` still backtracks.
 
 The whole-row form ``kappa_row`` evaluates the predicate against every
 candidate ``v`` at once with a handful of integer operations; the searches
-and the batch checkers lean on it heavily.
+and the batch checkers lean on it heavily.  The per-axis reformulation of
+the flow condition that criterion 1 checks it against lives in
+``mbqc.oracles``.
 """
 
 from __future__ import annotations
@@ -173,32 +175,6 @@ class FlowCertificate:
         return dict(self._p)
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Small directed graph; ``succ[u]`` is the successor bitmask."""
-
-    vertices: tuple[int, ...]
-    succ: tuple[tuple[int, int], ...]
-    _succ: Mapping[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_succ", dict(self.succ))
-
-    def successors(self, u: int) -> int:
-        return self._succ.get(u, 0)
-
-    def is_dag(self) -> bool:
-        return self.reachability() is not None
-
-    def reachability(self) -> dict[int, int] | None:
-        """Strict reachability masks, or None if the graph has a cycle."""
-        reach = _close({v: self._succ.get(v, 0) for v in self.vertices})
-        for u, r in reach.items():
-            if (r >> u) & 1:
-                return None
-        return reach
-
-
 def _check_measured(g: OpenGraph, v: int, name: str) -> None:
     if not (g.measured >> v) & 1:
         raise DomainError(f"{name}={v} is not a measured vertex")
@@ -249,13 +225,6 @@ def _check_correction_function(g: OpenGraph, p: CorrectionFunction) -> None:
             raise DomainError(f"p({u}) is not within the non-input vertices")
 
 
-def corrector_graph(g: OpenGraph, p: CorrectionFunction) -> Digraph:
-    """Directed graph with an edge (u, v) whenever v corrects u via p(u)."""
-    _check_correction_function(g, p)
-    succ = tuple((u, kappa_row(g, p[u], u)) for u in sorted(p))
-    return Digraph(tuple(g.graph.vertices), succ)
-
-
 def check_pauli_flow(g: OpenGraph, p: CorrectionFunction, order: StrictPartialOrder) -> bool:
     """Flow condition: every corrector of ``u`` is measured strictly after it."""
     return pauli_flow_violation(g, p, order) is None
@@ -285,58 +254,6 @@ def check_pauli_flow_many(
     _check_correction_function(g, p)
     rows = [(u, kappa_row(g, p[u], u)) for u in sorted(p)]
     return [all(row & ~order.after(u) == 0 for u, row in rows) for order in orders]
-
-
-def check_pauli_flow_original(
-    g: OpenGraph, p: CorrectionFunction, order: StrictPartialOrder
-) -> bool:
-    """The three per-axis membership conditions, stated the historical way.
-
-    For every measured v: if X is in v's label, v lies in the odd
-    neighborhood of p(v) and in no odd neighborhood of p(u) for u not
-    already before v; likewise for Y with the self-difference sets and for
-    Z with the sets themselves.  Equivalent to :func:`check_pauli_flow`.
-    """
-    return check_pauli_flow_original_many(g, p, [order])[0]
-
-
-def check_pauli_flow_original_many(
-    g: OpenGraph, p: CorrectionFunction, orders: Sequence[StrictPartialOrder]
-) -> list[bool]:
-    """Batch variant of :func:`check_pauli_flow_original`."""
-    _check_correction_function(g, p)
-    measured = sorted(p)
-    odd_p = {u: odd_neighborhood(g, p[u]) for u in measured}
-    codd_p = {u: p[u] ^ odd_p[u] for u in measured}
-    verdicts = []
-    for order in orders:
-        ok = True
-        for v in measured:
-            bv = 1 << v
-            others = [u for u in measured if u != v and not order.less(u, v)]
-            if g.x_labelled & bv:
-                union = 0
-                for u in others:
-                    union |= odd_p[u]
-                if not (odd_p[v] & bv) or (union & bv):
-                    ok = False
-                    break
-            if g.y_labelled & bv:
-                union = 0
-                for u in others:
-                    union |= codd_p[u]
-                if not (codd_p[v] & bv) or (union & bv):
-                    ok = False
-                    break
-            if g.z_labelled & bv:
-                union = 0
-                for u in others:
-                    union |= p[u]
-                if not (p[v] & bv) or (union & bv):
-                    ok = False
-                    break
-        verdicts.append(ok)
-    return verdicts
 
 
 _PLANE_CLAUSES = {
@@ -467,8 +384,7 @@ def find_pauli_flow(g: OpenGraph, max_vertices: int = 8) -> FlowCertificate | No
             chosen_d[u] = d
             chosen_row[u] = row
             placed |= 1 << u
-    reach = _close(chosen_row)
-    pairs = [(u, v) for u in reach for v in iter_bits(reach[u])]
+    pairs = [(u, v) for u, row in chosen_row.items() for v in iter_bits(row)]
     order = StrictPartialOrder.make(g.measured, pairs)
     return FlowCertificate.make("pauli", g, chosen_d, order)
 
@@ -708,11 +624,6 @@ def find_inducing_certificate(pat: Pattern, kind: str = "extended") -> FlowCerti
     if kind == "gflow" and any(g.label(v).is_pauli for v in seq):
         return None
 
-    # Corrections on input vertices can never come from a flow.
-    for s in pat.steps:
-        if (s.x_corr | s.z_corr) & ~g.non_inputs:
-            return None
-
     order = StrictPartialOrder.chain(seq)
     odd = {d: odd_neighborhood(g, d) for d in subsets(g.non_inputs)}
 
@@ -720,7 +631,9 @@ def find_inducing_certificate(pat: Pattern, kind: str = "extended") -> FlowCerti
     for s in pat.steps:
         u = s.qubit
         fut = _totals_future(g, seq, u)
-        if s.x_corr & ~fut or s.z_corr & ~fut:
+        # X targets lie within p(u), which avoids the inputs; Z targets may
+        # reach an input through Odd(p(u)).
+        if s.x_corr & ~(fut & g.non_inputs) or s.z_corr & ~fut:
             return None
         free = g.non_inputs & g.measured & ~fut
         # No kind lets u correct itself; the plain kinds allow no past corrector.

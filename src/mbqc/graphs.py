@@ -114,12 +114,6 @@ class Graph:
         es = tuple(sorted({(min(u, v), max(u, v)) for u, v in edges}))
         return Graph(vs, es)
 
-    def neighbors(self, v: int) -> int:
-        try:
-            return self.adj[v]
-        except KeyError:
-            raise DomainError(f"vertex {v} not in graph") from None
-
 
 def odd_neighborhood(g: Graph | OpenGraph, d: int) -> int:
     """Vertices with an odd number of neighbours in ``d``.

@@ -34,10 +34,6 @@ class PauliOperator:
     def phase(self) -> complex:
         return _PHASES[self.phase_pow]
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.xsupport and not self.zsupport
-
     def axis_at(self, v: int) -> Axis | None:
         x = (self.xsupport >> v) & 1
         z = (self.zsupport >> v) & 1
@@ -48,9 +44,6 @@ class PauliOperator:
         if z:
             return Axis.Z
         return None
-
-    def negate(self) -> PauliOperator:
-        return PauliOperator(self.universe, self.xsupport, self.zsupport, self.phase_pow + 2)
 
 
 def identity(universe: int) -> PauliOperator:

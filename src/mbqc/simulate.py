@@ -14,7 +14,9 @@ without forming a D x D matrix.  The universally quantified perturbation
 angle of plane measurements is discharged by sampling three equally spaced
 offsets (both sides are trigonometric polynomials of degree one in the
 offset, so three samples pin them down — the reduction itself is validated
-by dense sampling in the test suite).
+by dense sampling in the test suite).  The brute-force stabilizer search
+that criterion 7 checks ``enumerate_projected_stabilizers`` against lives
+in ``mbqc.oracles``.
 
 Qubit tensor ordering is the canonical numeric vertex order throughout,
 first qubit most significant.
@@ -526,27 +528,6 @@ def enumerate_projected_stabilizers(
             continue
         found.add((smask & ~xa, odd & ~za))
     return frozenset(PauliOperator(remaining, x, z, 0) for x, z in found)
-
-
-def brute_force_projected_stabilizers(
-    g: Graph | OpenGraph, assignment: PauliAssignment, tol: float = DEFAULT_TOL
-) -> frozenset[PauliOperator]:
-    """Oracle: try every support pair on the remaining qubits directly."""
-    graph = g.graph if isinstance(g, OpenGraph) else g
-    amask, _, _ = _assignment_masks(assignment)
-    projected = project_assignment(graph, assignment)
-    vec, qubits = projected.vector, projected.qubits
-    remaining = graph.vmask & ~amask
-    rem = bit_list(remaining)
-    out = set()
-    for xm_bits in range(1 << len(rem)):
-        xm = sum(1 << rem[i] for i in range(len(rem)) if (xm_bits >> i) & 1)
-        for zm_bits in range(1 << len(rem)):
-            zm = sum(1 << rem[i] for i in range(len(rem)) if (zm_bits >> i) & 1)
-            moved = apply_pauli(vec, qubits, xm, zm)
-            if _proportional(moved, vec, tol) is not None:
-                out.add((xm, zm))
-    return frozenset(PauliOperator(remaining, x, z, 0) for x, z in out)
 
 
 def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> complex | None:

@@ -111,6 +111,17 @@ def test_find_flow_oversized(tmp_path, capsys):
     assert main(["find-flow", gpath, "--kind", "pauli"]) == 2
 
 
+def test_find_flow_max_vertices(tmp_path, capsys):
+    og, _ = extended_flow_example()
+    gpath = _write(tmp_path, "g.json", open_graph_to_json(og))
+    assert main(["find-flow", gpath, "--kind", "epf", "--max-vertices", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "bound is 4" in captured.err
+    assert main(["find-flow", gpath, "--kind", "pauli", "--max-vertices", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "pauli"
+
+
 def test_check_determinism_pair(tmp_path, capsys):
     a = parse_pattern(SRC_A).bind(THETA)
     b = parse_pattern(SRC_B).bind(THETA)
@@ -220,6 +231,9 @@ def test_corpus_verify_single_criterion(capsys):
         ["check-flow", "G", "Q", "--kind", "gflow"],
         ["check-flow", "G", "P"],
         ["check-determinism", "C"],
+        ["check-determinism", "P", "--tol=nan"],
+        ["check-determinism", "P", "--tol=inf"],
+        ["check-determinism", "P", "--tol=-1"],
         ["semantics", "G"],
     ],
 )

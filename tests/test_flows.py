@@ -21,9 +21,7 @@ from mbqc import (
     check_extended_pauli_flow,
     check_gflow,
     check_pauli_flow,
-    check_pauli_flow_original,
     correction_partition,
-    corrector_graph,
     find_extended_pauli_flow,
     find_inducing_certificate,
     find_pauli_flow,
@@ -43,7 +41,8 @@ from mbqc.corpus import (
     random_partial_order,
 )
 from mbqc.errors import ResourceLimitError
-from mbqc.flows import check_pauli_flow_many, check_pauli_flow_original_many, kappa_row
+from mbqc.flows import certificate_violation, check_pauli_flow_many, kappa_row
+from mbqc.oracles import check_pauli_flow_original, check_pauli_flow_original_many
 
 EDGE = Graph.make([1, 2], [(1, 2)])
 EDGE_OG = OpenGraph.make(EDGE, [1], [2], {1: Label.XY})
@@ -92,17 +91,29 @@ def test_is_corrector_matches_naive_exhaustively():
                     assert bool((row >> v) & 1) == naive_is_corrector(og, d, u, v)
 
 
+def corrector_pairs(g: OpenGraph, p) -> list[tuple[int, int]]:
+    """The edges (u, v) of the corrector graph: v corrects u via p(u)."""
+    return [(u, v) for u in sorted(p) for v in bit_list(kappa_row(g, p[u], u))]
+
+
+def corrector_graph_is_acyclic(g: OpenGraph, p) -> bool:
+    try:
+        StrictPartialOrder.make(g.measured, corrector_pairs(g, p))
+    except DomainError:
+        return False
+    return True
+
+
 def test_corrector_graph_examples():
     cert = find_pauli_flow(EDGE_OG)
-    kp = corrector_graph(EDGE_OG, cert.p_map())
-    assert kp.successors(1) == 0
-    assert kp.is_dag()
+    assert corrector_pairs(EDGE_OG, cert.p_map()) == []
+    assert corrector_graph_is_acyclic(EDGE_OG, cert.p_map())
     # p(u) = empty with XY labels puts a self-loop at every measured vertex.
     g = Graph.make([0, 1, 2], [(0, 1), (1, 2)])
     og = OpenGraph.make(g, [], [2], {0: Label.XY, 1: Label.XY})
-    kp = corrector_graph(og, {0: 0, 1: 0})
-    assert (kp.successors(0) >> 0) & 1 and (kp.successors(1) >> 1) & 1
-    assert not kp.is_dag()
+    p = {0: 0, 1: 0}
+    assert {(0, 0), (1, 1)} <= set(corrector_pairs(og, p))
+    assert not corrector_graph_is_acyclic(og, p)
 
 
 def test_check_pauli_flow_worked_example():
@@ -149,12 +160,12 @@ def test_dagness_equals_compatible_order_existence():
         if not measured:
             continue
         p = {u: rng.choice(list(subsets(og.non_inputs))) for u in measured}
-        kp = corrector_graph(og, p)
+        acyclic = corrector_graph_is_acyclic(og, p)
         some_order = any(
             check_pauli_flow(og, p, order) for order in all_partial_orders(measured)
         )
-        assert kp.is_dag() == some_order
-        count_dag += kp.is_dag()
+        assert acyclic == some_order
+        count_dag += acyclic
     assert count_dag > 0
 
 
@@ -460,6 +471,20 @@ def test_find_inducing_certificate_roundtrip():
     assert found is not None
     assert is_induced_by(pat, found)
     assert check_extended_pauli_flow(og, found)
+
+
+def test_find_inducing_certificate_z_correction_on_an_input():
+    # Odd(p(1)) = {0} reaches the input 0, which is also an output.
+    g = Graph.make([0, 1], [(0, 1)])
+    og = OpenGraph.make(g, [0], [0], {1: Label.Y})
+    p = {1: mask_of([1])}
+    pat = induced_pattern(og, p, StrictPartialOrder.chain([1]), [1], {1: Angle.ZERO})
+    assert serialize_pattern(pat) == "Z_0^{s_1} M_1^Y E_{0,1} N_1 I_0"
+    for kind in ("pauli", "extended"):
+        cert = find_inducing_certificate(pat, kind)
+        assert cert is not None and cert.kind == kind and cert.p_map() == p
+        assert is_induced_by(pat, cert)
+        assert certificate_violation(og, cert) is None
 
 
 def chain_and_twin(n: int) -> tuple[Pattern, Pattern]:

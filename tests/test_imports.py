@@ -28,9 +28,8 @@ PUBLIC = {
         "ResourceLimitError", "UniverseMismatchError",
     ],
     "flows": [
-        "CorrectionFunction", "CorrectionPartition", "Digraph", "FlowCertificate",
-        "StrictPartialOrder", "check_extended_pauli_flow", "check_gflow", "check_pauli_flow",
-        "check_pauli_flow_original", "correction_partition", "corrector_graph",
+        "CorrectionFunction", "CorrectionPartition", "FlowCertificate", "StrictPartialOrder",
+        "check_extended_pauli_flow", "check_gflow", "check_pauli_flow", "correction_partition",
         "find_extended_pauli_flow", "find_inducing_certificate", "find_pauli_flow",
         "induced_pattern", "is_corrector", "is_induced_by",
     ],
@@ -53,8 +52,8 @@ PUBLIC = {
 
 def test_public_names_resolve_to_their_submodule_objects():
     names = {name for names in PUBLIC.values() for name in names}
-    assert len(names) == 67
-    assert set(mbqc.__all__) == names and len(mbqc.__all__) == 67
+    assert len(names) == 64
+    assert set(mbqc.__all__) == names and len(mbqc.__all__) == 64
     assert names <= set(dir(mbqc))
     for module, module_names in PUBLIC.items():
         sub = importlib.import_module(f"mbqc.{module}")
@@ -62,6 +61,36 @@ def test_public_names_resolve_to_their_submodule_objects():
             assert getattr(mbqc, name) is getattr(sub, name), name
     with pytest.raises(AttributeError):
         mbqc.no_such_name
+
+
+def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's mbqc."""
+    src = str(Path(mbqc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+# Touches every public name and imports every submodule (the CLI included)
+# before the acceptance suite.
+_ORACLES_SCRIPT = """
+import importlib, pkgutil, sys
+import mbqc
+for name in mbqc.__all__:
+    getattr(mbqc, name)
+for info in pkgutil.iter_modules(mbqc.__path__):
+    if info.name not in ("acceptance", "oracles"):
+        importlib.import_module("mbqc." + info.name)
+assert "mbqc.oracles" not in sys.modules, "the library imported mbqc.oracles"
+import mbqc.acceptance
+assert "mbqc.oracles" in sys.modules, "mbqc.acceptance did not import mbqc.oracles"
+"""
+
+
+def test_only_the_acceptance_suite_imports_the_oracles():
+    proc = _run_fresh(_ORACLES_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Runs in a fresh interpreter, because this one has loaded numpy already.
@@ -100,11 +129,6 @@ def test_flow_subcommands_leave_numpy_unloaded(tmp_path):
         (["push-pauli", p], 0),
         (["corpus-verify", "--criteria", "x"], 2),
     ]
-    src = str(Path(mbqc.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, json.dumps([argv for argv, _ in runs])],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_fresh(_SCRIPT, json.dumps([argv for argv, _ in runs]))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [code for _, code in runs]

@@ -6,7 +6,17 @@ from itertools import combinations
 
 import pytest
 
-from mbqc import Graph, Label, OpenGraph, find_extended_pauli_flow, find_pauli_flow
+from mbqc import (
+    Graph,
+    Label,
+    OpenGraph,
+    find_extended_pauli_flow,
+    find_inducing_certificate,
+    find_pauli_flow,
+    induced_pattern,
+    is_induced_by,
+)
+from mbqc.corpus import angle_assignments
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -34,3 +44,16 @@ def test_pauli_and_extended_flow_existence_agree(og):
     # The extended search backtracks over every total order, independently
     # of the layer peeling in find_pauli_flow.
     assert (find_pauli_flow(og) is None) == (find_extended_pauli_flow(og) is None)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(open_graphs())
+def test_pattern_induced_by_a_found_flow_has_inducing_certificates(og):
+    cert = find_pauli_flow(og)
+    hypothesis.assume(cert is not None)
+    total = cert.order.canonical_extension()
+    pat = induced_pattern(og, cert.p_map(), cert.order, total, angle_assignments(og)[0])
+    for kind in ("pauli", "extended"):
+        found = find_inducing_certificate(pat, kind)
+        assert found is not None, kind
+        assert is_induced_by(pat, found)

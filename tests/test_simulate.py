@@ -38,11 +38,11 @@ from mbqc import simulate
 from mbqc.bits import bit_list, subsets
 from mbqc.corpus import pattern_corpus
 from mbqc.errors import DomainError, PreconditionError, ResourceLimitError
+from mbqc.oracles import brute_force_projected_stabilizers
 from mbqc.simulate import (
     QuantumState,
     _basis_vectors,
     apply_pauli,
-    brute_force_projected_stabilizers,
     choi_distance,
     project,
 )
