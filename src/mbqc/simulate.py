@@ -1,22 +1,23 @@
 """Exact dense-linear-algebra semantics for patterns.
 
 One kernel serves every caller: the resource state is prepared as an
-isometry (one column per input basis state), and each measurement step
-projects every branch onto both outcomes and corrects the outcome-1 side
-(``project``, ``apply_pauli``).  ``branch_map`` follows one side per step,
-``semantics`` keeps both and stores the completely positive sum of the
-branches as a Choi matrix.  Robust determinism is decided by the
+isometry (one column per input basis state) by index arithmetic, and each
+measurement step slices every branch once per vector of a reference
+eigenbasis and corrects both halves (``project``, ``apply_pauli``); the two
+outcome sides at any angle are then two axpys.  ``branch_map`` follows one
+side per step, ``semantics`` keeps both and stores the completely positive
+sum of the branches as a Choi matrix.  Robust determinism is decided by the
 definitional recursion: at every step the two outcome-conditioned channels
 must agree as linear maps.  While they do, the channel keeps one Kraus
 operator, and a step compares the two rank-one Choi matrices by the
 Frobenius norm of their difference (never below their max-entry distance)
 without forming a D x D matrix.  The universally quantified perturbation
 angle of plane measurements is discharged by sampling three equally spaced
-offsets (both sides are trigonometric polynomials of degree one in the
-offset, so three samples pin them down — the reduction itself is validated
-by dense sampling in the test suite).  The brute-force stabilizer search
-that criterion 7 checks ``enumerate_projected_stabilizers`` against lives
-in ``mbqc.oracles``.
+offsets of the step's one projection pair (both sides are trigonometric
+polynomials of degree one in the offset, so three samples pin them down —
+the reduction itself is validated by dense sampling in the test suite).
+The brute-force stabilizer search that criterion 7 checks
+``enumerate_projected_stabilizers`` against lives in ``mbqc.oracles``.
 
 Qubit tensor ordering is the canonical numeric vertex order throughout,
 first qubit most significant.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,8 @@ NORM_FLOOR = 1e-12
 #: Tolerance of the phase and norm checks between projected states.
 PHASE_TOL = 1e-8
 _DEFAULT_MAX_QUBITS = 12
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_Z_SIGNS = np.array([[1.0], [-1.0]])
 
 #: Single-qubit eigenbases at angle 0: axis -> (plus, minus).
 _BASIS0: dict[Axis, tuple[np.ndarray, np.ndarray]] = {
@@ -172,56 +175,55 @@ def measurement_basis(label: Label, angle: Angle) -> MeasurementBasisPair:
 # vector and a branch map has one column per input basis state.
 
 
-def _local_mask(qubits: Sequence[int], vmask: int) -> int:
-    out = 0
-    for a, q in enumerate(qubits):
-        if (vmask >> q) & 1:
-            out |= 1 << (len(qubits) - 1 - a)
-    return out
-
-
 def apply_pauli(k: np.ndarray, qubits: Sequence[int], xmask: int, zmask: int) -> np.ndarray:
-    """Apply X_{xmask} Z_{zmask} (Z first, then X) to a register."""
-    lx = _local_mask(qubits, xmask)
-    lz = _local_mask(qubits, zmask)
-    idx = np.arange(k.shape[0])
-    out = k[idx ^ lx]
-    if lz:
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & lz) & 1)
-        out = out * signs.reshape((-1,) + (1,) * (k.ndim - 1))
+    """Apply Z_{zmask} X_{xmask} (X first, then Z) to a register: X reverses
+    a qubit's axis and Z negates its 1 half."""
+    out = k
+    for a, q in enumerate(qubits):
+        x, z = (xmask >> q) & 1, (zmask >> q) & 1
+        if x or z:
+            t = out.reshape((1 << a, 2, -1))
+            t = t[:, ::-1] if x else t
+            out = (t * _Z_SIGNS if z else t).reshape(k.shape)
     return out
 
 
 def project(
     k: np.ndarray, qubits: tuple[int, ...], q: int, bra: np.ndarray
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Contract qubit ``q`` of a register with ``<bra|``; returns the rest."""
-    n = len(qubits)
+    """Contract qubit ``q`` of a register with ``<bra|``; returns the rest.
+
+    The register is sliced as (2^position, 2, rest); a zero bra entry skips its term.
+    """
     a = qubits.index(q)
-    t = np.tensordot(bra.conj(), k.reshape((2,) * n + k.shape[1:]), axes=([0], [a]))
-    return t.reshape((-1,) + k.shape[1:]), qubits[:a] + qubits[a + 1 :]
+    t = k.reshape((1 << a, 2, -1))
+    c0, c1 = np.conj(bra).tolist()
+    if not c1:
+        out = c0 * t[:, 0]
+    elif not c0:
+        out = c1 * t[:, 1]
+    else:
+        out = c0 * t[:, 0] + c1 * t[:, 1]
+    return out.reshape((-1,) + k.shape[1:]), qubits[:a] + qubits[a + 1 :]
 
 
 def _graph_state_vector(graph: Graph, inputs: int, columns: np.ndarray) -> np.ndarray:
-    """CZ over every edge on plus states, one output column per input column."""
-    verts = list(graph.vertices)
-    _check_size(len(verts))
-    in_qubits = bit_list(inputs)
-    axes_order = list(in_qubits)
-    plus = _BASIS0[Axis.X][0]
-    t = columns.T.reshape((columns.shape[1],) + (2,) * len(in_qubits))
-    for q in verts:
-        if not (inputs >> q) & 1:
-            t = np.tensordot(t, plus, axes=0)
-            axes_order.append(q)
-    t = t.transpose([1 + axes_order.index(q) for q in verts] + [0])
-    k = np.ascontiguousarray(t.reshape(1 << len(verts), -1))
-    idx = np.arange(k.shape[0])
+    """CZ over every edge on plus states, one output column per input column:
+    row r is the input row spelled by r's input bits, times 2^(-non-inputs/2)
+    and (-1)^(edges inside r)."""
+    verts = graph.vertices
+    n = len(verts)
+    _check_size(n)
+    bit = {v: n - 1 - a for a, v in enumerate(verts)}
+    idx = np.arange(1 << n)
+    row = np.zeros_like(idx)
+    for q in bit_list(inputs):
+        row = (row << 1) | ((idx >> bit[q]) & 1)
+    parity = np.zeros_like(idx)
     for u, v in graph.edges:
-        bu = 1 << (len(verts) - 1 - verts.index(u))
-        bv = 1 << (len(verts) - 1 - verts.index(v))
-        k[((idx & bu) != 0) & ((idx & bv) != 0)] *= -1.0
-    return k
+        parity ^= (idx >> bit[u]) & (idx >> bit[v])
+    scale = 2.0 ** (-(n - inputs.bit_count()) / 2.0)
+    return columns[row] * (scale * (1.0 - 2.0 * (parity & 1)))[:, None]
 
 
 def graph_state(g: OpenGraph | Graph, input_state: np.ndarray | None = None) -> QuantumState:
@@ -247,37 +249,49 @@ def graph_state(g: OpenGraph | Graph, input_state: np.ndarray | None = None) -> 
 
 
 def _measure(
-    branches: Sequence[np.ndarray], qubits: tuple[int, ...], step: MeasurementStep, angle: float
-) -> tuple[list[np.ndarray], list[np.ndarray], tuple[int, ...]]:
-    """One measurement step at ``angle``: the outcome-0 branches, the
-    corrected outcome-1 branches, and the remaining qubits."""
-    plus, minus = _basis_vectors(step.label, angle)
-    zeros, ones = [], []
-    for k in branches:
-        a, rest = project(k, qubits, step.qubit, plus)
-        b, _ = project(k, qubits, step.qubit, minus)
-        zeros.append(a)
-        ones.append(apply_pauli(b, rest, step.x_corr, step.z_corr))
-    return zeros, ones, rest
+    k: np.ndarray, qubits: tuple[int, ...], step: MeasurementStep
+) -> tuple[Callable[[float], tuple[np.ndarray, np.ndarray]], tuple[int, ...]]:
+    """One measurement step: ``sides(angle)`` and the remaining qubits.
+
+    k is projected onto the reference eigenbasis (e0, e1), the axis of a
+    Pauli label or the complement axis of a plane, and both halves are
+    corrected.  ``sides(angle)`` is the outcome-0 branch and the corrected
+    outcome-1 branch: a Pauli label swaps the halves at pi, and a plane's
+    basis (e0 +/- e^{i angle} e1) / sqrt(2) makes them two axpys.
+    """
+    label = step.label
+    e0, e1 = _BASIS0[label.axes[0] if label.is_pauli else label.complement]
+    k0, rest = project(k, qubits, step.qubit, e0)
+    k1, _ = project(k, qubits, step.qubit, e1)
+    c0 = apply_pauli(k0, rest, step.x_corr, step.z_corr)
+    c1 = apply_pauli(k1, rest, step.x_corr, step.z_corr)
+
+    def sides(angle: float) -> tuple[np.ndarray, np.ndarray]:
+        if label.is_pauli:
+            return (k1, c0) if pauli_multiple(angle) == 1 else (k0, c1)
+        phase = complex(math.cos(angle), -math.sin(angle))
+        return (k0 + phase * k1) * _INV_SQRT2, (c0 - phase * c1) * _INV_SQRT2
+
+    return sides, rest
 
 
-def _prepare(pat: Pattern) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """The preparation isometry as the single initial branch."""
+def _prepare(pat: Pattern) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The preparation isometry as the initial register."""
     require_valid(pat)
     _check_size(pat.total_qubits())
     eye = np.eye(1 << pat.inputs.bit_count(), dtype=complex)
-    return [_graph_state_vector(pat.graph, pat.inputs, eye)], tuple(pat.graph.vertices)
+    return _graph_state_vector(pat.graph, pat.inputs, eye), tuple(pat.graph.vertices)
 
 
 def branch_map(pat: Pattern, m: OutcomeAssignment) -> BranchMap:
     """The linear map of one outcome branch; corrections fire on outcome 1."""
-    branches, qubits = _prepare(pat)
+    k, qubits = _prepare(pat)
     target = outcome_mask(pat, m)
     for step in pat.steps:
-        zeros, ones, qubits = _measure(branches, qubits, step, step.angle.to_float())
-        branches = ones if (target >> step.qubit) & 1 else zeros
+        sides, qubits = _measure(k, qubits, step)
+        k = sides(step.angle.to_float())[(target >> step.qubit) & 1]
     outcomes = tuple((s.qubit, (target >> s.qubit) & 1) for s in pat.steps)
-    return BranchMap(branches[0], outcomes, tuple(bit_list(pat.inputs)), qubits)
+    return BranchMap(k, outcomes, tuple(bit_list(pat.inputs)), qubits)
 
 
 def _choi(kraus: Sequence[np.ndarray]) -> np.ndarray:
@@ -287,10 +301,13 @@ def _choi(kraus: Sequence[np.ndarray]) -> np.ndarray:
 
 def semantics(pat: Pattern) -> Superoperator:
     """Superoperator semantics: the CP sum of all outcome branches."""
-    branches, qubits = _prepare(pat)
+    k, qubits = _prepare(pat)
+    branches = [k]
     for step in pat.steps:
-        zeros, ones, qubits = _measure(branches, qubits, step, step.angle.to_float())
-        branches = [k for pair in zip(zeros, ones) for k in pair]
+        angle = step.angle.to_float()
+        measured = [_measure(k, qubits, step) for k in branches]
+        branches = [side for sides, _ in measured for side in sides(angle)]
+        qubits = measured[0][1]
     kraus = tuple(branches)
     return Superoperator(_choi(kraus), tuple(bit_list(pat.inputs)), qubits, kraus)
 
@@ -352,12 +369,12 @@ def _rank_one_distance(a: np.ndarray, b: np.ndarray) -> float:
     two sides agree.
     """
     a, b = a.reshape(-1), b.reshape(-1)
-    overlap = np.vdot(b, a)
+    overlap = complex(np.vdot(b, a))
     if overlap != 0:
         b = b * (overlap / abs(overlap))
-    s, d = np.linalg.norm(a + b), np.linalg.norm(a - b)
+    s, d = a + b, a - b
     gap = np.vdot(a, a).real - np.vdot(b, b).real
-    return math.sqrt(0.5 * ((s * d) ** 2 + gap**2))
+    return math.sqrt(0.5 * (np.vdot(s, s).real * np.vdot(d, d).real + gap**2))
 
 
 def is_robustly_deterministic(
@@ -382,26 +399,27 @@ def is_robustly_deterministic(
     norm, and no D x D matrix is formed.  ``branch_norms`` has one entry,
     the norm of k.
     """
-    [k], qubits = _prepare(pat)
+    k, qubits = _prepare(pat)
     offsets = tuple(epsilon_offsets) if epsilon_offsets is not None else _PLANE_OFFSETS
     diagnostics: list[StepDiagnostic] = []
     for i, step in enumerate(pat.steps):
         alpha = step.angle.to_float()
         eps = tuple(alpha + o for o in offsets) if step.label.is_plane else (alpha,)
+        sides, rest = _measure(k, qubits, step)
         worst = 0.0
         taken = None
         for angle in eps:
-            zeros, ones, rest = _measure([k], qubits, step, angle)
-            worst = max(worst, _rank_one_distance(zeros[0], ones[0]))
+            a, b = sides(angle)
+            worst = max(worst, _rank_one_distance(a, b))
             if angle == alpha:
-                taken = zeros[0]
+                taken = a
         norms = (float(np.linalg.norm(k)),)
         ok = worst <= tol
         diagnostics.append(StepDiagnostic(i, step.qubit, step.label, eps, worst, norms, ok))
         if not ok:
             return RobustDeterminismReport(False, tol, tuple(diagnostics))
         if taken is None:
-            taken = _measure([k], qubits, step, alpha)[0][0]
+            taken = sides(alpha)[0]
         k, qubits = math.sqrt(2.0) * taken, rest
     return RobustDeterminismReport(True, tol, tuple(diagnostics))
 

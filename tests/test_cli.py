@@ -133,6 +133,11 @@ def test_check_determinism_pair(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "robustly-deterministic: no" in out
     assert "first failing step" in out
+    failing = next(line for line in out.splitlines() if line.startswith("first failing step"))
+    assert failing.startswith("first failing step: 0 (qubit 1, label YZ, metric frobenius, distance ")
+    assert failing.endswith(", kraus rank 1)")
+    distance = float(failing.split("distance ")[1].split(",")[0])
+    assert distance > 0.1
 
 
 def test_check_determinism_empty_pattern(tmp_path, capsys):

@@ -15,6 +15,7 @@ from mbqc import (
     Axis,
     Graph,
     Label,
+    MeasurementStep,
     OpenGraph,
     Pattern,
     StrictPartialOrder,
@@ -226,7 +227,7 @@ def test_rd_three_point_sampling_matches_dense():
     # degree one, so three samples decide; confirm against 17 dense offsets.
     # Strided over the corpus so every base family contributes.
     # The shifted set samples the same three points but leaves out offset 0,
-    # so the oracle projects once more at each step's own angle to move on.
+    # so the oracle rebuilds the branch at each step's own angle to move on.
     dense = tuple(2.0 * math.pi * k / 17.0 for k in range(17))
     shifted = tuple(2.0 * math.pi * k / 3.0 for k in (1, 2, 3))
     seen = count = disagree = 0
@@ -314,6 +315,34 @@ def test_rd_matches_dense_reference():
         failing += not report.ok
     assert is_robustly_deterministic(cases[-2]) and not is_robustly_deterministic(cases[-1])
     assert len(cases) > 1000 and 0 < failing < len(cases)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_rd_offsets_without_zero_and_one_projection_pair_per_step(monkeypatch, n):
+    # Seven offsets that leave out 0 make the oracle rebuild the branch it
+    # takes at the step's own angle; verdicts and failing steps must not
+    # move.  Every step projects the register exactly twice, however many
+    # angles it samples.
+    seven = tuple(2.0 * math.pi * (k + 0.5) / 7.0 for k in range(7))
+    projected = []
+
+    def counting(k, qubits, q, bra):
+        projected.append(q)
+        return project(k, qubits, q, bra)
+
+    monkeypatch.setattr(simulate, "project", counting)
+    for pat in (_chain(n), _chain(n, drop=True)):
+        reports = []
+        for offsets in (None, seven):
+            projected.clear()
+            report = is_robustly_deterministic(pat, epsilon_offsets=offsets)
+            assert projected == [s.qubit for s in report.steps for _ in range(2)]
+            reports.append(report)
+        default, shifted = reports
+        assert [s.ok for s in default.steps] == [s.ok for s in shifted.steps]
+        assert len(shifted.steps[0].epsilons) == 7 and 0.0 not in seven
+    assert is_robustly_deterministic(_chain(n)).ok
+    assert is_robustly_deterministic(_chain(n, drop=True)).failing_step.index == 2 * (n // 4)
 
 
 def test_rd_forms_no_choi_matrix(monkeypatch):
@@ -515,3 +544,159 @@ def test_plane_fixed_point_never_fails_dense():
     for label in (Label.XY, Label.XZ, Label.YZ):
         for k in range(64):
             plane_fixed_point(label, 2.0 * math.pi * k / 64.0)
+
+
+# ---------------------------------------------------------------------------
+# The register kernel against explicit Kronecker-product matrices.
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+_ONE = np.diag([0.0, 1.0]).astype(complex)
+
+
+def _kron_all(factors):
+    out = np.eye(1, dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def _on(n, a, op):
+    """``op`` (a 2 x 2 matrix or a 1 x 2 bra) on qubit position a of n."""
+    return _kron_all([op if i == a else np.eye(2) for i in range(n)])
+
+
+def _kron_pauli(qubits, xmask, zmask):
+    """Z_{zmask} X_{xmask}: X acts first."""
+    x = _kron_all([_X if (xmask >> q) & 1 else np.eye(2) for q in qubits])
+    z = _kron_all([_Z if (zmask >> q) & 1 else np.eye(2) for q in qubits])
+    return z @ x
+
+
+def _kron_graph_state(graph, inputs, input_state):
+    """Sum over input basis states of the product state, then every CZ."""
+    verts = list(graph.vertices)
+    n = len(verts)
+    vec = np.zeros(1 << n, dtype=complex)
+    for j, amp in enumerate(input_state):
+        bits = {q: (j >> (len(inputs) - 1 - i)) & 1 for i, q in enumerate(inputs)}
+        vec += amp * _kron_all([(KET0, KET1)[bits[v]] if v in bits else PLUS for v in verts]).reshape(-1)
+    for u, v in graph.edges:
+        cz = np.eye(1 << n) - 2 * _kron_all([_ONE if w in (u, v) else np.eye(2) for w in verts])
+        vec = cz @ vec
+    return vec
+
+
+def _ref_plus(label, alpha):
+    """Plus state of a measurement; the YZ plane is oriented so that its
+    plus state is cos(a/2)|0> - i sin(a/2)|1> (see plane_fixed_point)."""
+    plane, offset = {
+        Label.X: (Label.XY, 0.0),
+        Label.Y: (Label.XY, math.pi / 2),
+        Label.Z: (Label.XZ, 0.0),
+    }.get(label, (label, 0.0))
+    a = alpha + offset
+    if plane is Label.XY:
+        return np.array([1, np.exp(1j * a)]) / math.sqrt(2)
+    if plane is Label.XZ:
+        return np.array([math.cos(a / 2), math.sin(a / 2)], dtype=complex)
+    return np.array([math.cos(a / 2), -1j * math.sin(a / 2)])
+
+
+def _kron_branches(pat):
+    """Every outcome branch of a pattern, keyed by the outcomes in step order."""
+    inputs = bit_list(pat.inputs)
+    eye = np.eye(1 << len(inputs))
+    branches = {(): np.stack([_kron_graph_state(pat.graph, inputs, e) for e in eye], axis=1)}
+    qubits = list(pat.graph.vertices)
+    for step in pat.steps:
+        a, n = qubits.index(step.qubit), len(qubits)
+        alpha = step.angle.to_float()
+        plus, minus = _ref_plus(step.label, alpha), _ref_plus(step.label, alpha + math.pi)
+        qubits = qubits[:a] + qubits[a + 1 :]
+        corr = _kron_pauli(qubits, step.x_corr, step.z_corr)
+        zero, one = _on(n, a, plus.conj()[None, :]), corr @ _on(n, a, minus.conj()[None, :])
+        branches = {
+            out + (bit,): op @ k for out, k in branches.items() for bit, op in ((0, zero), (1, one))
+        }
+    return branches
+
+
+@pytest.mark.parametrize("inputs", [[], [2], [0, 3]])
+def test_graph_state_matches_kron_reference(inputs):
+    g = Graph.make([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (0, 2)])
+    og = OpenGraph.make(g, inputs, [0, 1, 2, 3], {})
+    rng = np.random.default_rng(len(inputs))
+    state = rng.normal(size=1 << len(inputs)) + 1j * rng.normal(size=1 << len(inputs))
+    state = state / np.linalg.norm(state) if inputs else np.ones(1)
+    got = graph_state(og, state if inputs else None)
+    assert got.qubits == (0, 1, 2, 3)
+    assert np.allclose(got.vector, _kron_graph_state(g, inputs, state), atol=1e-12)
+    if not inputs:
+        assert np.allclose(graph_state(g).vector, got.vector, atol=1e-12)
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+def test_project_matches_kron_reference(tail):
+    rng = np.random.default_rng(7)
+    qubits = (1, 3, 4, 7)
+    k = rng.normal(size=(16,) + tail) + 1j * rng.normal(size=(16,) + tail)
+    bras = [KET0, KET1, PLUS, MINUS, rng.normal(size=2) + 1j * rng.normal(size=2)]
+    for a, q in enumerate(qubits):
+        for bra in bras:
+            got, rest = project(k, qubits, q, bra)
+            expected = _on(4, a, bra.conj()[None, :]) @ k.reshape(16, -1)
+            assert rest == qubits[:a] + qubits[a + 1 :]
+            assert got.shape == (8,) + tail
+            assert np.allclose(got, expected.reshape((8,) + tail), atol=1e-12)
+
+
+def test_apply_pauli_matches_kron_reference():
+    rng = np.random.default_rng(5)
+    qubits = (0, 2, 5)
+    vmask = mask_of(qubits)
+    k = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    for xmask in subsets(vmask):
+        for zmask in subsets(vmask):
+            expected = _kron_pauli(qubits, xmask, zmask) @ k
+            assert np.allclose(apply_pauli(k, qubits, xmask, zmask), expected, atol=1e-12)
+            assert np.allclose(apply_pauli(k[:, 0], qubits, xmask, zmask), expected[:, 0], atol=1e-12)
+
+
+def _mixed_patterns():
+    """Three-step patterns on five qubits with inputs 0 and 4 that together
+    take every label at angles 0 and pi, and every plane at a generic angle."""
+    generic = 0.37
+    choices = [(label, a) for label in (Label.XY, Label.XZ, Label.YZ) for a in (0.0, math.pi, generic)]
+    choices += [(label, a) for label in (Label.X, Label.Y, Label.Z) for a in (0.0, math.pi)]
+    xy_choices = [c for c in choices if Axis.Z not in c[0]]
+    g = Graph.make(range(5), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (1, 4)])
+    rng = random.Random(4)
+    pats = []
+    for i in range(len(choices)):
+        measured = [(1, choices[i]), (0, xy_choices[i % len(xy_choices)]), (3, choices[(i + 5) % len(choices)])]
+        steps, remaining = [], g.vmask
+        for q, (label, a) in measured:
+            remaining &= ~(1 << q)
+            x, z = (sum(1 << v for v in bit_list(remaining) if rng.random() < 0.5) for _ in range(2))
+            angle = Angle.of_real(a) if label.is_plane else (Angle.PI if a else Angle.ZERO)
+            steps.append(MeasurementStep(q, label, angle, x, z))
+        pats.append(Pattern.make(g, [0, 4], steps))
+    return pats
+
+
+def test_semantics_and_branch_map_match_kron_reference():
+    from mbqc.patterns import outcome_assignments
+
+    pats = _mixed_patterns()
+    for pat in pats:
+        reference = _kron_branches(pat)
+        assert np.allclose(semantics(pat).choi, _choi_sum(reference.values()), atol=1e-12)
+        for m in outcome_assignments(pat):
+            got = branch_map(pat, m)
+            assert got.out_qubits == (2, 4)
+            # A branch is fixed up to the global phases of the bases.
+            expected = reference[tuple(m[s.qubit] for s in pat.steps)]
+            assert np.allclose(_choi_sum([got.matrix]), _choi_sum([expected]), atol=1e-12)
+    labels = {s.label for pat in pats for s in pat.steps}
+    assert labels == set(Label) and len(pats) == 15
