@@ -49,11 +49,10 @@ from .oracles import brute_force_projected_stabilizers, check_pauli_flow_origina
 from .patterns import Pattern, is_pauli_first, underlying_open_graph, validate
 from .rewrite import normalize_pauli_first, push_step
 from .simulate import (
-    DEFAULT_TOL,
     NORM_FLOOR,
     PHASE_TOL,
+    _proportional,
     apply_pauli,
-    choi_distance,
     enumerate_projected_stabilizers,
     graph_state,
     is_robustly_deterministic,
@@ -62,6 +61,7 @@ from .simulate import (
     project,
     semantics,
     stabilizer_sign,
+    superoperator_equal,
 )
 
 
@@ -146,7 +146,7 @@ def criterion_2() -> CriterionResult:
         for angles in angle_assignments(og):
             pat = induced_pattern(og, cert.p_map(), cert.order, total, angles)
             tested += 1
-            if validate(pat) or not is_robustly_deterministic(pat, DEFAULT_TOL):
+            if validate(pat) or not is_robustly_deterministic(pat):
                 failures += 1
     return CriterionResult(
         2,
@@ -168,7 +168,7 @@ def _corpus_with_verdicts() -> list[tuple[Pattern, bool, object]]:
     if _corpus_cache is None:
         out = []
         for pat in pattern_corpus():
-            rd = bool(is_robustly_deterministic(pat, DEFAULT_TOL))
+            rd = bool(is_robustly_deterministic(pat))
             cert = find_inducing_certificate(pat, "extended")
             out.append((pat, rd, cert))
         _corpus_cache = out
@@ -218,9 +218,9 @@ def criterion_4() -> CriterionResult:
                 succs |= push_step(pat, step.qubit, plane_axis=axis)
             for succ in succs:
                 checked += 1
-                if choi_distance(base, semantics(succ)) > DEFAULT_TOL:
+                if not superoperator_equal(base, semantics(succ)):
                     bad_sem += 1
-                if not is_robustly_deterministic(succ, DEFAULT_TOL):
+                if not is_robustly_deterministic(succ):
                     bad_rd += 1
     return CriterionResult(
         4,
@@ -242,9 +242,9 @@ def criterion_5() -> CriterionResult:
         bind = {"t": Angle.of_real(theta)}
         a = parse_pattern(src_a).bind(bind)
         b = parse_pattern(src_b).bind(bind)
-        if not is_robustly_deterministic(a, DEFAULT_TOL):
+        if not is_robustly_deterministic(a):
             problems.append(f"pattern A not deterministic at {theta}")
-        if is_robustly_deterministic(b, DEFAULT_TOL):
+        if is_robustly_deterministic(b):
             problems.append(f"pattern B deterministic at {theta}")
         na = normalize_pauli_first(a)
         nb = normalize_pauli_first(b)
@@ -252,7 +252,7 @@ def criterion_5() -> CriterionResult:
             problems.append(f"normal forms differ at {theta}")
         if not is_pauli_first(na):
             problems.append("normal form not Pauli-first")
-        if not is_robustly_deterministic(na, DEFAULT_TOL):
+        if not is_robustly_deterministic(na):
             problems.append(f"normal form not deterministic at {theta}")
         # The reference normal form uses the Z mark on the plane qubit.
         stated = parse_pattern(
@@ -349,7 +349,7 @@ def _eq1_suite() -> tuple[int, int]:
                 for d in subsets(og.non_inputs):
                     checked += 1
                     try:
-                        stabilizer_sign(og, d, state, DEFAULT_TOL)
+                        stabilizer_sign(og, d, state)
                     except MbqcError:
                         failures += 1
     return checked, failures
@@ -413,16 +413,12 @@ def _eq3_suite() -> tuple[int, int]:
                 lhs, _ = _project_many(apply_pauli(vec, tuple(dims), bx, bz), tuple(dims), bras)
                 rhs, _ = _project_many(vec, tuple(dims), bras)
                 checked += 1
-                norm = np.linalg.norm(rhs)
-                if norm < NORM_FLOOR:
+                # _proportional would give two near-zero sides the phase 1.
+                if np.linalg.norm(rhs) < NORM_FLOOR:
                     continue
-                ref = int(np.argmax(np.abs(rhs)))
-                phase = lhs[ref] / rhs[ref]
+                phase = _proportional(lhs, rhs, PHASE_TOL)
                 expect = 1j ** ((bx & bz).bit_count() % 4)
-                if not (
-                    np.max(np.abs(lhs - phase * rhs)) <= PHASE_TOL
-                    and (abs(phase - expect) <= PHASE_TOL or abs(phase + expect) <= PHASE_TOL)
-                ):
+                if phase is None or min(abs(phase - expect), abs(phase + expect)) > PHASE_TOL:
                     failures += 1
     return checked, failures
 
@@ -464,15 +460,7 @@ def _eq4_suite() -> tuple[int, int]:
                     lv_z = (1 << v) if axis in (Axis.Y, Axis.Z) else 0
                     rhs, _ = _project_many(apply_pauli(moved, verts, lv_x, lv_z), verts, bras)
                     checked += 1
-                    nl, nr = np.linalg.norm(lhs), np.linalg.norm(rhs)
-                    if nl < NORM_FLOOR and nr < NORM_FLOOR:
-                        continue
-                    if abs(nl - nr) > PHASE_TOL or nr < NORM_FLOOR:
-                        failures += 1
-                        continue
-                    ref = int(np.argmax(np.abs(rhs)))
-                    phase = lhs[ref] / rhs[ref]
-                    if np.max(np.abs(lhs - phase * rhs)) > PHASE_TOL:
+                    if _proportional(lhs, rhs, PHASE_TOL) is None:
                         failures += 1
     return checked, failures
 

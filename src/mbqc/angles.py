@@ -10,6 +10,7 @@ requires all variables to be bound first.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,10 @@ _TWO_PI = 2.0 * math.pi
 
 #: Distance from 0, pi or 2 pi within which a real angle counts as Pauli.
 PAULI_ANGLE_TOL = 1e-12
+
+#: An angle variable: a Latin or Greek letter or an underscore, then letters,
+#: digits or underscores; not ``pi`` or ``π``, the notation's angle pi.
+_NAME = re.compile(r"(?!(pi|π)$)[A-Za-z_Ͱ-Ͽ][A-Za-z0-9_Ͱ-Ͽ]*")
 
 
 def pauli_multiple(value: float) -> int | None:
@@ -55,6 +60,8 @@ class Angle:
                 r += _TWO_PI
             # A tiny negative value rounds up to exactly 2 pi; that is 0.
             object.__setattr__(self, "real", 0.0 if r == _TWO_PI else r)
+        if self.var is not None and not (isinstance(self.var, str) and _NAME.fullmatch(self.var)):
+            raise DomainError(f"angle variable must be a name other than pi, got {self.var!r}")
 
     @staticmethod
     def of_pi(mult: Fraction | int | str) -> Angle:

@@ -41,9 +41,9 @@ from .flows import (
 from .patterns import Pattern, validate
 
 
-def _fail(message: str, code: int = 2) -> int:
+def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return code
+    return 2
 
 
 def _comma_ids(text: str, what: str) -> list[int]:

@@ -77,7 +77,7 @@ def extended_flow_example() -> tuple[OpenGraph, FlowCertificate]:
     return og, FlowCertificate.make("extended", og, p, order, comp)
 
 
-def curated_open_graphs(seed: int = 7, per_graph_labels: int = 40) -> Iterator[OpenGraph]:
+def curated_open_graphs() -> Iterator[OpenGraph]:
     """Documented 4- and 5-vertex families with seeded label sampling.
 
     Full enumeration at these sizes is far beyond the runtime budget; the
@@ -85,7 +85,7 @@ def curated_open_graphs(seed: int = 7, per_graph_labels: int = 40) -> Iterator[O
     extended-flow example graph, each with a deterministic sample of label
     assignments (every sample also includes the all-XY and all-X maps).
     """
-    rng = random.Random(seed)
+    rng = random.Random(7)
     bases: list[tuple[Graph, list[int], list[int]]] = []
     p4 = Graph.make([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
     bases.append((p4, [], [3]))
@@ -109,11 +109,8 @@ def curated_open_graphs(seed: int = 7, per_graph_labels: int = 40) -> Iterator[O
         omask = mask_of(outs)
         measured = [v for v in g.vertices if not (omask >> v) & 1]
         seen: set[tuple[Label, ...]] = set()
-        samples: list[tuple[Label, ...]] = [
-            tuple(Label.XY for _ in measured),
-            tuple(Label.X for _ in measured),
-        ]
-        while len(samples) < per_graph_labels:
+        samples = [(Label.XY,) * len(measured), (Label.X,) * len(measured)]
+        while len(samples) < 40:
             combo = tuple(
                 rng.choice(_INPUT_LABELS if (imask >> v) & 1 else ALL_LABELS)
                 for v in measured
@@ -153,37 +150,27 @@ def angle_assignments(og: OpenGraph, seed: int = 11) -> list[dict[int, Angle]]:
 # Pattern corpus for the robust-determinism equivalence checks.
 
 
-def _bounded_subsets(universe: int, max_size: int = 2) -> list[int]:
-    return [s for s in subsets(universe) if s.bit_count() <= max_size]
-
-
 def _patterns_for_base(
-    g: Graph,
-    inputs: int,
-    order: Sequence[int],
-    plane_angle: Angle,
-    corrections: str = "all",
-    seed: int = 5,
-    sampled: int = 4,
+    g: Graph, inputs: int, order: Sequence[int], corrections: str = "all"
 ) -> Iterator[Pattern]:
     """Patterns on a fixed base: all labels x correction assignments.
 
-    ``corrections`` is "all" (every bounded assignment) or "sampled" (the
-    empty assignment, a seeded sample, and the induced sets of an extended
+    Plane angles are pi/4 and Pauli angles 0.  ``corrections`` is "all"
+    (every assignment of at most two vertices per set) or "sampled" (the
+    empty assignment, four seeded draws, and the induced sets of an extended
     flow when one exists -- guaranteeing deterministic positives).
     """
     vmask = g.vmask
     measured = list(order)
-    rng = random.Random(seed)
+    plane_angle = Angle.of_pi("1/4")
+    rng = random.Random(5)
     for labels in label_assignments(measured, inputs):
         futures = []
         seen = 0
         for v in measured:
             seen |= 1 << v
             futures.append(vmask & ~seen)
-        per_step_options = [
-            _bounded_subsets(fut) for fut in futures
-        ]
+        per_step_options = [[s for s in subsets(fut) if s.bit_count() <= 2] for fut in futures]
         angle_of = {
             v: plane_angle if labels[v].is_plane else Angle.ZERO for v in measured
         }
@@ -202,7 +189,7 @@ def _patterns_for_base(
                 yield build(combo)
             continue
         combos = {tuple((0, 0) for _ in measured)}
-        for _ in range(sampled):
+        for _ in range(4):
             combos.add(
                 tuple(
                     (rng.choice(opts), rng.choice(opts))
@@ -226,7 +213,7 @@ def _patterns_for_base(
                 yield pat
 
 
-def pattern_corpus(plane_angle: Angle | None = None) -> Iterator[Pattern]:
+def pattern_corpus() -> Iterator[Pattern]:
     """The enumerated small-pattern corpus.
 
     Exhaustive over 2- and 3-qubit bases (all label assignments, all
@@ -234,7 +221,6 @@ def pattern_corpus(plane_angle: Angle | None = None) -> Iterator[Pattern]:
     with all label assignments and sampled corrections plus the induced
     sets of any extended flow.  Every yielded pattern is valid.
     """
-    angle = plane_angle if plane_angle is not None else Angle.of_pi("1/4")
     e2 = Graph.make([0, 1], [(0, 1)])
     d2 = Graph.make([0, 1], [])
     p3 = Graph.make([0, 1, 2], [(0, 1), (1, 2)])
@@ -256,7 +242,7 @@ def pattern_corpus(plane_angle: Angle | None = None) -> Iterator[Pattern]:
         (s4, 0, [1, 2, 3], "sampled"),
     ]
     for g, inputs, order, mode in bases:
-        for pat in _patterns_for_base(g, inputs, order, angle, corrections=mode):
+        for pat in _patterns_for_base(g, inputs, order, corrections=mode):
             if not validate(pat):
                 yield pat
 

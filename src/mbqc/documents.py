@@ -14,8 +14,9 @@ kind (``epf``, ``pauli``, or ``gflow``)::
     {"kind": "epf", "p": {"0": [0, 4]}, "order": [[0, 1]], "D": {"1": [2]}}
 
 Certificates do not embed their graph; parsing one requires the open graph
-it refers to.  Vertex ids are non-negative JSON integers, or ASCII decimal
-digits where they are object keys; real angles are finite.
+it refers to.  Vertex ids are JSON integers from 0 to ``MAX_VERTEX_ID``
+(65,535: a vertex-set bitmask stays within 8 KB), or ASCII digits where they
+are object keys; real angles are finite, and variables are names, not pi.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from typing import Any, Callable, TypeVar
 
 from .angles import Angle
 from .bits import bit_list, mask_of
-from .errors import DocumentError, DomainError
+from .errors import DocumentError
 from .flows import FlowCertificate, StrictPartialOrder
-from .graphs import Graph, Label, OpenGraph
+from .graphs import MAX_VERTEX_ID, Graph, Label, OpenGraph, label_from_text, vertex_id_from_text
 from .patterns import MeasurementStep, Pattern
 
 #: Certificate document kind -> flow kind.
@@ -44,19 +45,19 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _id(x: Any, what: str) -> int:
-    """A vertex id written as a JSON number: a non-negative integer, not a
-    bool or a float."""
-    _require(type(x) is int and x >= 0, f"{what}: expected a non-negative integer, got {x!r}")
+    """A vertex id written as a JSON number: an integer from 0 to
+    ``MAX_VERTEX_ID``, not a bool or a float."""
+    ok = type(x) is int and 0 <= x <= MAX_VERTEX_ID
+    _require(ok, f"{what}: expected an id up to {MAX_VERTEX_ID}, got {x!r}")
     return x
 
 
 def id_from_text(text: str, what: str) -> int:
     """A vertex id written as a string (an object key or an argument): ASCII
-    decimal digits only."""
-    _require(
-        text.isascii() and text.isdigit(), f"{what}: expected a non-negative integer, got {text!r}"
-    )
-    return int(text)
+    decimal digits naming an id of at most ``MAX_VERTEX_ID``."""
+    v = vertex_id_from_text(text)
+    _require(v is not None, f"{what}: expected an id up to {MAX_VERTEX_ID}, got {text[:20]!r}")
+    return v
 
 
 def _ids(payload: Any, what: str) -> list[int]:
@@ -90,10 +91,9 @@ def id_map_from_json(payload: Any, what: str, read: Callable[[Any, str], _T]) ->
 
 def _label_from_text(text: Any, what: str) -> Label:
     _require(isinstance(text, str), f"{what} must be a string")
-    try:
-        return Label("".join(sorted(text, key="XYZ".index)))
-    except (ValueError, KeyError):
-        raise DocumentError(f"{what}: bad label {text!r}") from None
+    label = label_from_text(text)
+    _require(label is not None, f"{what}: bad label {text!r}")
+    return label
 
 
 def angle_to_json(angle: Angle) -> dict[str, Any]:
@@ -104,25 +104,24 @@ def angle_to_json(angle: Angle) -> dict[str, Any]:
     return {"var": angle.var}
 
 
+#: Angle form -> (the JSON types of its value, the constructor).
+_ANGLE_FORMS: dict[str, tuple[tuple[type, ...], Callable[[Any], Angle]]] = {
+    "pi_mult": ((str, int, float), lambda value: Angle.of_pi(Fraction(value))),
+    "real": ((int, float), Angle.of_real),
+    "var": ((str,), Angle.variable),
+}
+
+
 def angle_from_json(payload: Any) -> Angle:
     _require(isinstance(payload, dict) and len(payload) == 1, "angle must be a one-key object")
     key, value = next(iter(payload.items()))
-    if key == "pi_mult":
-        _require(type(value) in (str, int, float), f"bad pi_mult {value!r}")
-        try:
-            return Angle.of_pi(Fraction(value))
-        except (ValueError, ZeroDivisionError, OverflowError):
-            raise DocumentError(f"bad pi_mult {value!r}") from None
-    if key == "real":
-        _require(type(value) in (int, float), "real angle must be a number")
-        try:
-            return Angle.of_real(value)
-        except (DomainError, OverflowError):
-            raise DocumentError(f"real angle must be finite, got {value!r}") from None
-    if key == "var":
-        _require(isinstance(value, str) and bool(value), "angle variable must be a name")
-        return Angle.variable(value)
-    raise DocumentError(f"unknown angle form {key!r}")
+    _require(key in _ANGLE_FORMS, f"unknown angle form {key!r}")
+    types, make = _ANGLE_FORMS[key]
+    _require(type(value) in types, f"bad {key} angle {value!r}")
+    try:
+        return make(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:  # DomainError is a ValueError
+        raise DocumentError(f"bad {key} angle: {exc}") from None
 
 
 def open_graph_to_json(g: OpenGraph) -> dict[str, Any]:

@@ -78,6 +78,26 @@ class Label(enum.Enum):
         return missing
 
 
+def label_from_text(text: str) -> Label | None:
+    """The label whose axis letters ``text`` lists once each in any order, or None."""
+    try:
+        return Label("".join(sorted(text, key="XYZ".index)))
+    except ValueError:
+        return None
+
+
+#: Largest vertex id that a document or a pattern text may name.  A vertex
+#: set is a bitmask as wide as its largest id, so this keeps one within 8 KB.
+MAX_VERTEX_ID = 65_535
+
+
+def vertex_id_from_text(text: str) -> int | None:
+    """The id that ``text`` spells in ASCII digits if it is at most ``MAX_VERTEX_ID``, else None."""
+    digits = text.lstrip("0") or "0"  # int() refuses more than 4,300 digits
+    ok = text.isascii() and text.isdigit() and len(digits) <= len(str(MAX_VERTEX_ID))
+    return int(digits) if ok and int(digits) <= MAX_VERTEX_ID else None
+
+
 PAULI_LABELS = (Label.X, Label.Y, Label.Z)
 PLANE_LABELS = (Label.XY, Label.XZ, Label.YZ)
 ALL_LABELS = PAULI_LABELS + PLANE_LABELS

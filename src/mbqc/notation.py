@@ -11,7 +11,8 @@ optional trailing ``I_{...}`` token (an extension to the classic notation)
 declares them explicitly so that patterns with isolated input qubits
 survive a round trip.  Subscripts accept ``_{1,2}`` and, for single-digit
 ids, the compact ``_{12}``; measurement superscripts accept ``{YZ,pi/4}``,
-``{{X,Y},0}``, or a bare Pauli like ``Z``.
+``{{X,Y},0}``, or a bare Pauli like ``Z``.  Ids and labels are read as in
+the JSON documents, and an angle is a multiple of pi, a number, or a name.
 """
 
 from __future__ import annotations
@@ -22,16 +23,15 @@ from fractions import Fraction
 from .angles import Angle
 from .bits import bit_list, mask_of
 from .errors import DomainError, PatternSyntaxError
-from .graphs import Graph, Label
+from .graphs import Graph, Label, label_from_text, vertex_id_from_text
 from .patterns import MeasurementStep, Pattern
 
 _TOKEN = re.compile(r"\s*([NEMXZI])")
 _SUBSCRIPT = re.compile(r"_(?:(\d+)|\{([^{}]*)\})")
 _SUPERSCRIPT = re.compile(r"\^(?:(\{(?:[^{}]|\{[^{}]*\})*\})|([^\s_^{}]+))")
 _SIGNAL = re.compile(r"^s_?(\d+)$")
-_PI_ANGLE = re.compile(r"^(-?\d*)\*?(?:pi|π)(?:/(\d+))?$")
+_PI_ANGLE = re.compile(r"^(-?[0-9]*)\*?(?:pi|π)(?:/([0-9]+))?$")
 _NUMBER = re.compile(r"^-?\d+(\.\d+)?([eE][+-]?\d+)?$")
-_NAME = re.compile(r"^[A-Za-z_Ͱ-Ͽ][A-Za-z0-9_Ͱ-Ͽ]*$")
 
 
 def _parse_ids(text: str, pos: int, compact: bool) -> list[int]:
@@ -46,24 +46,28 @@ def _parse_ids(text: str, pos: int, compact: bool) -> list[int]:
         parts = list(text)
     else:
         parts = [text]
-    ids = []
-    for p in parts:
-        if not p.isdigit():
-            raise PatternSyntaxError(f"bad vertex id {p!r}", pos)
-        ids.append(int(p))
+    ids = [_vertex_id(p, pos) for p in parts]
     if len(set(ids)) != len(ids):
         raise PatternSyntaxError(f"repeated vertex in subscript {text!r}", pos)
     return ids
+
+
+def _vertex_id(text: str, pos: int) -> int:
+    v = vertex_id_from_text(text)
+    if v is None:
+        raise PatternSyntaxError(f"bad vertex id {text[:20]!r}", pos)
+    return v
 
 
 def parse_angle(text: str, pos: int = 0) -> Angle:
     text = text.strip()
     m = _PI_ANGLE.match(text)
     if m:
-        num = m.group(1)
-        mult = Fraction(-1 if num == "-" else int(num) if num else 1)
-        if m.group(2):
-            mult /= int(m.group(2))
+        num, den = m.group(1), m.group(2)
+        try:
+            mult = Fraction(-1 if num == "-" else int(num) if num else 1, int(den or 1))
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or past int()'s digit limit
+            raise PatternSyntaxError(f"bad multiple of pi {text[:20]!r}", pos) from None
         return Angle.of_pi(mult)
     if _NUMBER.match(text):
         value = float(text)
@@ -75,17 +79,17 @@ def parse_angle(text: str, pos: int = 0) -> Angle:
             return Angle.of_real(value)
         except DomainError as exc:
             raise PatternSyntaxError(str(exc), pos) from None
-    if _NAME.match(text):
+    try:
         return Angle.variable(text)
-    raise PatternSyntaxError(f"cannot parse angle {text!r}", pos)
+    except DomainError:
+        raise PatternSyntaxError(f"cannot parse angle {text[:20]!r}", pos) from None
 
 
 def _parse_label(text: str, pos: int) -> Label:
-    axes = text.replace(",", "").replace(" ", "")
-    try:
-        return Label("".join(sorted(axes, key="XYZ".index)))
-    except (ValueError, KeyError):
-        raise PatternSyntaxError(f"bad measurement label {text!r}", pos) from None
+    label = label_from_text(text.replace(",", "").replace(" ", ""))
+    if label is None:
+        raise PatternSyntaxError(f"bad measurement label {text!r}", pos)
+    return label
 
 
 def _parse_measurement_superscript(text: str, pos: int) -> tuple[Label, Angle]:
@@ -140,8 +144,7 @@ def parse_pattern(text: str) -> Pattern:
         m = _SUPERSCRIPT.match(text, pos)
         if not m:
             raise PatternSyntaxError("expected superscript", pos)
-        body = m.group(1) or m.group(2)
-        return body, m.end()
+        return (m.group(1)[1:-1] if m.group(1) else m.group(2)), m.end()
 
     any_token = False
     while pos < n:
@@ -176,8 +179,6 @@ def parse_pattern(text: str) -> Pattern:
                 raise PatternSyntaxError("measurement needs a single vertex", here)
             (q,) = ids
             body, pos = read_superscript(pos)
-            if body.startswith("{") and body.endswith("}"):
-                body = body[1:-1]
             label, angle = _parse_measurement_superscript(body, here)
             if q in measured:
                 raise PatternSyntaxError(f"qubit {q} measured twice", here)
@@ -202,12 +203,10 @@ def parse_pattern(text: str) -> Pattern:
         else:  # X or Z correction
             ids, pos = read_subscript(pos)
             body, pos = read_superscript(pos)
-            if body.startswith("{") and body.endswith("}"):
-                body = body[1:-1]
             sig = _SIGNAL.match(body.strip())
             if not sig:
                 raise PatternSyntaxError(f"bad correction signal {body!r}", here)
-            pending.append((cmd, ids, int(sig.group(1)), here))
+            pending.append((cmd, ids, _vertex_id(sig.group(1), here), here))
     if not any_token:
         raise PatternSyntaxError("empty pattern", 0)
     if pending:

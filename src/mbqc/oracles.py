@@ -80,7 +80,7 @@ def check_pauli_flow_original_many(
 
 
 def brute_force_projected_stabilizers(
-    g: Graph | OpenGraph, assignment: PauliAssignment, tol: float = DEFAULT_TOL
+    g: Graph | OpenGraph, assignment: PauliAssignment
 ) -> frozenset[PauliOperator]:
     """Oracle: try every support pair on the remaining qubits directly."""
     graph = g.graph if isinstance(g, OpenGraph) else g
@@ -95,6 +95,6 @@ def brute_force_projected_stabilizers(
         for zm_bits in range(1 << len(rem)):
             zm = sum(1 << rem[i] for i in range(len(rem)) if (zm_bits >> i) & 1)
             moved = apply_pauli(vec, qubits, xm, zm)
-            if _proportional(moved, vec, tol) is not None:
+            if _proportional(moved, vec, DEFAULT_TOL) is not None:
                 out.add((xm, zm))
     return frozenset(PauliOperator(remaining, x, z, 0) for x, z in out)

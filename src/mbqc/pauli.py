@@ -50,14 +50,14 @@ def identity(universe: int) -> PauliOperator:
     return PauliOperator(universe, 0, 0, 0)
 
 
-def single(universe: int, v: int, axis: Axis, phase_pow: int = 0) -> PauliOperator:
+def single(universe: int, v: int, axis: Axis) -> PauliOperator:
     """Single-qubit Pauli at ``v``; ``Y`` is encoded as ``i * X Z``."""
     bit = 1 << v
     if axis is Axis.X:
-        return PauliOperator(universe, bit, 0, phase_pow)
+        return PauliOperator(universe, bit, 0, 0)
     if axis is Axis.Z:
-        return PauliOperator(universe, 0, bit, phase_pow)
-    return PauliOperator(universe, bit, bit, phase_pow + 1)
+        return PauliOperator(universe, 0, bit, 0)
+    return PauliOperator(universe, bit, bit, 1)
 
 
 def pauli_multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:

@@ -21,6 +21,9 @@ The brute-force stabilizer search that criterion 7 checks
 
 Qubit tensor ordering is the canonical numeric vertex order throughout,
 first qubit most significant.
+
+Tolerances are the module constants below, not arguments, except the ``tol``
+of ``is_robustly_deterministic``, which the CLI's ``--tol`` sets.
 """
 
 from __future__ import annotations
@@ -140,9 +143,9 @@ class Superoperator:
     out_qubits: tuple[int, ...]
     kraus: tuple[np.ndarray, ...] = field(compare=False, default=())
 
-    def is_trace_preserving(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_trace_preserving(self) -> bool:
         acc = sum(k.conj().T @ k for k in self.kraus)
-        return bool(np.max(np.abs(acc - np.eye(1 << len(self.in_qubits)))) <= tol)
+        return bool(np.max(np.abs(acc - np.eye(1 << len(self.in_qubits)))) <= DEFAULT_TOL)
 
 
 def _basis_vectors(label: Label, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -312,11 +315,11 @@ def semantics(pat: Pattern) -> Superoperator:
     return Superoperator(_choi(kraus), tuple(bit_list(pat.inputs)), qubits, kraus)
 
 
-def superoperator_equal(s1: Superoperator, s2: Superoperator, tol: float = DEFAULT_TOL) -> bool:
-    """Max-entry distance of the Choi matrices within tolerance."""
+def superoperator_equal(s1: Superoperator, s2: Superoperator) -> bool:
+    """Max-entry distance of the Choi matrices within ``DEFAULT_TOL``."""
     if s1.in_qubits != s2.in_qubits or len(s1.out_qubits) != len(s2.out_qubits):
         raise DomainError("superoperator dimensions differ")
-    return bool(np.max(np.abs(s1.choi - s2.choi)) <= tol)
+    return choi_distance(s1, s2) <= DEFAULT_TOL
 
 
 def choi_distance(s1: Superoperator, s2: Superoperator) -> float:
@@ -428,9 +431,7 @@ def is_robustly_deterministic(
 # Stabilizer fixed points.
 
 
-def stabilizer_sign(
-    g: OpenGraph, d: int, input_state: np.ndarray | None = None, tol: float = DEFAULT_TOL
-) -> int:
+def stabilizer_sign(g: OpenGraph, d: int, input_state: np.ndarray | None = None) -> int:
     """Sign of the stabilizer at ``d`` on the resource state.
 
     Applies X_d Z_{Odd(d)} and compares with the original state; by the
@@ -446,7 +447,7 @@ def stabilizer_sign(
         raise InvariantViolationError("resource state is numerically zero")
     ratio = moved[ref] / state.vector[ref]
     for sign in (1, -1):
-        if abs(ratio - sign) <= tol and np.max(np.abs(moved - sign * state.vector)) <= tol:
+        if abs(ratio - sign) <= DEFAULT_TOL and np.max(np.abs(moved - sign * state.vector)) <= DEFAULT_TOL:
             return sign
     raise InvariantViolationError("state is not a +/-1 eigenvector of the stabilizer")
 
@@ -463,7 +464,7 @@ class SignedAxis:
         return ("" if self.sign > 0 else "-") + self.axis.value
 
 
-def plane_fixed_point(label: Label, angle: Angle | float, tol: float = NORM_FLOOR) -> tuple[SignedAxis, SignedAxis]:
+def plane_fixed_point(label: Label, angle: Angle | float) -> tuple[SignedAxis, SignedAxis]:
     """Axes (P, Q) of the plane with (cos a P + sin a Q) fixing the plus state.
 
     Both orderings and both signs per axis are tried; the orientation of the
@@ -479,7 +480,7 @@ def plane_fixed_point(label: Label, angle: Angle | float, tol: float = NORM_FLOO
         for s1 in (1, -1):
             for s2 in (1, -1):
                 op = math.cos(alpha) * s1 * _PAULI_MATRICES[first] + math.sin(alpha) * s2 * _PAULI_MATRICES[second]
-                if np.max(np.abs(op @ plus - plus)) <= tol:
+                if np.max(np.abs(op @ plus - plus)) <= NORM_FLOOR:
                     return SignedAxis(first, s1), SignedAxis(second, s2)
     raise InvariantViolationError(f"no fixed-point axis pair for {label.value} at {alpha}")
 
@@ -517,7 +518,7 @@ def project_assignment(g: Graph, assignment: PauliAssignment) -> QuantumState:
 
 
 def enumerate_projected_stabilizers(
-    g: Graph | OpenGraph, assignment: PauliAssignment, tol: float = DEFAULT_TOL
+    g: Graph | OpenGraph, assignment: PauliAssignment
 ) -> frozenset[PauliOperator]:
     """Stabilizers of a Pauli-projected graph state, up to phase.
 
@@ -530,7 +531,7 @@ def enumerate_projected_stabilizers(
     amask, xa, za = _assignment_masks(assignment)
     projected = project_assignment(graph, assignment)
     expected = 2.0 ** (-len(assignment) / 2.0)
-    if abs(projected.norm - expected) > max(tol, DEFAULT_TOL):
+    if abs(projected.norm - expected) > DEFAULT_TOL:
         raise PreconditionError(
             f"projection norm {projected.norm:.6g} != 2^(-|A|/2) = {expected:.6g}"
         )
@@ -578,7 +579,6 @@ def classify_branch_relation(
     phi_prime: QuantumState,
     u: int,
     label: Label,
-    tol: float = PHASE_TOL,
 ) -> BranchRelation:
     """Decide how two states can agree under all plane measurements of u.
 
@@ -595,16 +595,15 @@ def classify_branch_relation(
         raise DomainError(f"qubit {u} is not part of the register")
     a = phi.vector / (phi.norm or 1.0)
     b = phi_prime.vector / (phi_prime.norm or 1.0)
-    inv_sqrt2 = 1.0 / math.sqrt(2)
     for alpha in (0.0, math.pi / 2.0, math.pi):
         plus, _ = _basis_vectors(label, alpha)
         pa, _ = project(a, phi.qubits, u, plus)
         pb, _ = project(b, phi.qubits, u, plus)
-        if abs(np.linalg.norm(pa) - inv_sqrt2) > tol:
+        if abs(np.linalg.norm(pa) - _INV_SQRT2) > PHASE_TOL:
             return BranchRelation("neither")
-        if _proportional(pa, pb, tol) is None and np.linalg.norm(pa - pb) > tol:
+        if _proportional(pa, pb, PHASE_TOL) is None and np.linalg.norm(pa - pb) > PHASE_TOL:
             return BranchRelation("neither")
-    if _proportional(a, b, tol) is not None:
+    if _proportional(a, b, PHASE_TOL) is not None:
         return BranchRelation("proportional")
     p_axis = label.complement
     plus0, minus0 = _BASIS0[p_axis]
@@ -614,9 +613,9 @@ def classify_branch_relation(
         psi_b, _ = project(b, phi.qubits, u, eb)
         other_b, _ = project(b, phi.qubits, u, ea)
         if (
-            np.linalg.norm(other) <= tol
-            and np.linalg.norm(other_b) <= tol
-            and _proportional(psi_b, psi, tol) is not None
+            np.linalg.norm(other) <= PHASE_TOL
+            and np.linalg.norm(other_b) <= PHASE_TOL
+            and _proportional(psi_b, psi, PHASE_TOL) is not None
         ):
             return BranchRelation("split", x, QuantumState(rest, psi))
     return BranchRelation("neither")

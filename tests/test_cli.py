@@ -240,6 +240,10 @@ def test_corpus_verify_single_criterion(capsys):
         ["check-determinism", "P", "--tol=inf"],
         ["check-determinism", "P", "--tol=-1"],
         ["semantics", "G"],
+        # Ids past int()'s 4,300-digit limit.
+        ["induce", "G", "C", "--total-order", "1" * 5000],
+        ["induce", "G", "C", "--angles", '{"' + "1" * 5000 + '": {"real": 0.5}}'],
+        ["corpus-verify", "--criteria", "1" * 5000],
     ],
 )
 def test_malformed_arguments_exit_2(tmp_path, argv, capsys):
@@ -264,10 +268,13 @@ def test_malformed_arguments_exit_2(tmp_path, argv, capsys):
         ("certificate", lambda d: d.update(order=[[0, 1.5]])),
         ("certificate", lambda d: d["p"].update({"-1": [1]})),
         ("certificate", lambda d: d["D"].update({"01": [2]})),
+        ("certificate", lambda d: d["p"].update({"1" * 5000: [1]})),  # past int()'s digit limit
         ("pattern", lambda d: d["steps"][0].update(qubit=-1)),
         ("pattern", lambda d: d["steps"][0].update(qubit=True)),
         ("pattern", lambda d: d["steps"][0].update(angle={"real": float("nan")})),
         ("pattern", lambda d: d["steps"][0].update(angle={"real": float("inf")})),
+        # An isolated output above the id bound; the pattern is otherwise valid.
+        ("pattern", lambda d: (d["vertices"].append(65536), d["outputs"].append(65536))),
     ],
 )
 def test_malformed_documents_exit_2(tmp_path, kind, mutate, capsys):

@@ -19,6 +19,7 @@ from mbqc.documents import (
     pattern_to_json,
 )
 from mbqc.flows import induced_pattern
+from mbqc.graphs import MAX_VERTEX_ID
 from mbqc.notation import parse_pattern
 
 
@@ -82,6 +83,10 @@ def test_angle_forms_roundtrip():
         {"real": True},
         {"pi_mult": True},
         {"pi_mult": float("inf")},
+        {"var": "pi"},  # the notation reads these two as the angle pi
+        {"var": "π"},
+        {"var": "2t"},
+        {"var": "t u"},
     ],
 )
 def test_bad_angles(payload):
@@ -101,6 +106,9 @@ def test_bad_angles(payload):
         lambda d: d.update(edges=[["a", 1]]),
         lambda d: d.update(edges=[[0, 1.7]]),
         lambda d: d.update(vertices=[0, True, 2, 3, 4]),
+        # An isolated output above the id bound; the graph is otherwise valid.
+        lambda d: (d["vertices"].append(MAX_VERTEX_ID + 1), d["outputs"].append(MAX_VERTEX_ID + 1)),
+        lambda d: d["labels"].update({"9" * 5000: "XY"}),  # past int()'s digit limit
     ],
 )
 def test_bad_open_graph_documents(mutate):

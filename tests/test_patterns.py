@@ -152,6 +152,14 @@ def test_parse_empty_is_error():
         "E_1 N_1",  # entangler needs two vertices
         "Z_5^{s_1} M_1^X N_1",  # unknown vertex reference
         "M_1^{XY,1e400} N_1",  # angle overflows to infinity
+        "M_1^{XY,pi/0} N_1 N_2",  # zero denominator
+        "N_{²}",  # str.isdigit accepts superscript digits, int() does not
+        "E_{1,²} N_1",
+        "N_65536",  # above MAX_VERTEX_ID
+        # Past int()'s 4,300-digit limit.
+        pytest.param("N_" + "1" * 5000, id="N_<5000 digits>"),
+        pytest.param("M_1^{XY," + "3" * 5000 + "pi} N_1", id="M_1^{XY,<5000 digits>pi} N_1"),
+        pytest.param("X_2^{s_" + "1" * 5000 + "} M_1^X N_1 N_2", id="X_2^{s_<5000 digits>} M_1^X N_1 N_2"),
         "gibberish",
     ],
 )
@@ -220,6 +228,10 @@ def test_angle_forms():
         got = measurement_basis(Label.Z, Angle.of_real(x))
         assert np.array_equal(got.plus, measurement_basis(Label.Z, exact).plus)
     assert not Angle.of_real(math.pi + 1e-9).is_pauli_angle()
+    # A variable is a name that the notation reads back as itself.
+    for name in ("pi", "π", "", "2t", "t u", "t\n"):
+        with pytest.raises(DomainError):
+            Angle.variable(name)
 
 
 def test_bind_angles():

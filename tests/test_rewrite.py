@@ -204,7 +204,7 @@ def test_normalize_worked_pair_to_same_form():
     sa = semantics(a)
     for form in normalize_pauli_first(a, "all"):
         assert is_pauli_first(form)
-        assert superoperator_equal(sa, semantics(form), 1e-9)
+        assert superoperator_equal(sa, semantics(form))
     stated = parse_pattern(SRC_NF).bind(THETA)
     assert stated in normalize_pauli_first(b, "all")
 

@@ -162,7 +162,7 @@ def test_branch_completeness_on_deterministic_corpus_sample():
         checked += 1
         if checked > 25:
             break
-        assert semantics(pat).is_trace_preserving(1e-9)
+        assert semantics(pat).is_trace_preserving()
     assert checked > 10
 
 
@@ -177,11 +177,11 @@ def test_semantics_hadamard_choi():
 def test_superoperator_equal_examples():
     pat = parse_pattern("X_2^{s_1} M_1^{{X,Y},0} E_{12} N_2")
     s = semantics(pat)
-    assert superoperator_equal(s, s, 1e-9)
+    assert superoperator_equal(s, s)
     # X rho X differs from H rho H.
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     other = type(s)(np.outer(x.reshape(-1), x.reshape(-1).conj()), s.in_qubits, s.out_qubits, ())
-    assert not superoperator_equal(s, other, 1e-9)
+    assert not superoperator_equal(s, other)
     assert choi_distance(s, other) > 0.4
 
 
