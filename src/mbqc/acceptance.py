@@ -43,7 +43,7 @@ from .flows import (
     induced_pattern,
     is_induced_by,
 )
-from .graphs import Axis, Graph, Label, OpenGraph, odd_neighborhood
+from .graphs import Axis, Label, OpenGraph, odd_neighborhood
 from .notation import parse_pattern
 from .oracles import brute_force_projected_stabilizers, check_pauli_flow_original_many
 from .patterns import Pattern, is_pauli_first, underlying_open_graph, validate

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
+from .graphs import Label
 
 _TWO_PI = 2.0 * math.pi
 
@@ -119,3 +120,11 @@ class Angle:
 
 Angle.ZERO = Angle.of_pi(0)
 Angle.PI = Angle.of_pi(1)
+_QUARTER_PI = Angle.of_pi("1/4")
+
+
+def default_angle(label: Label) -> Angle:
+    """pi/4 for a plane label, 0 for a Pauli label: the angle of a measurement
+    given none (``mbqc induce`` without ``--angles``, the pattern corpus and
+    criterion 2's first angle map)."""
+    return _QUARTER_PI if label.is_plane else Angle.ZERO

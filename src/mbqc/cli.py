@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Any
 
-from .angles import Angle
+from .angles import Angle, default_angle
 from .documents import (
     FLOW_KINDS,
     angle_from_json,
@@ -89,10 +89,7 @@ def cmd_check_flow(args: argparse.Namespace) -> int:
 def cmd_find_flow(args: argparse.Namespace) -> int:
     graph = open_graph_from_json(load_json(args.graph))
     finder = find_pauli_flow if args.kind == "pauli" else find_extended_pauli_flow
-    if args.max_vertices is not None:
-        cert = finder(graph, max_vertices=args.max_vertices)
-    else:
-        cert = finder(graph)
+    cert = finder(graph)
     if cert is None:
         print("none")
         return 1
@@ -177,7 +174,7 @@ def _parse_angles(raw: str | None, graph) -> dict[int, Angle]:
         if v not in measured:
             raise DocumentError(f"angles key {v} is not a measured vertex")
     for v in measured:
-        angles.setdefault(v, Angle.of_pi("1/4") if graph.label(v).is_plane else Angle.ZERO)
+        angles.setdefault(v, default_angle(graph.label(v)))
     return angles
 
 
@@ -222,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-flow", help="search for a flow certificate")
     p.add_argument("graph")
     p.add_argument("--kind", choices=["pauli", "epf"], required=True)
-    p.add_argument("--max-vertices", type=int, default=None)
     p.set_defaults(fn=cmd_find_flow)
 
     p = sub.add_parser("check-determinism", help="robust-determinism oracle")

@@ -12,7 +12,7 @@ import random
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, product
 
-from .angles import Angle
+from .angles import Angle, default_angle
 from .bits import bit_list, mask_of, subsets
 from .errors import MbqcError
 from .flows import FlowCertificate, StrictPartialOrder, find_extended_pauli_flow
@@ -127,12 +127,10 @@ def curated_open_graphs() -> Iterator[OpenGraph]:
 
 
 def angle_assignments(og: OpenGraph, seed: int = 11) -> list[dict[int, Angle]]:
-    """Three deterministic angle maps; the second sets every Pauli to pi."""
+    """Three deterministic angle maps: ``default_angle``, then one that sets
+    every Pauli to pi, then a seeded random one."""
     rng = random.Random((seed, og.graph.edges, og.labels).__repr__())
-    zero = {
-        v: Angle.of_pi("1/4") if og.label(v).is_plane else Angle.ZERO
-        for v in og.measured_vertices()
-    }
+    zero = {v: default_angle(og.label(v)) for v in og.measured_vertices()}
     pauli_pi = {
         v: Angle.of_real(2.0 * math.pi * 5.0 / 7.0) if og.label(v).is_plane else Angle.PI
         for v in og.measured_vertices()
@@ -155,14 +153,13 @@ def _patterns_for_base(
 ) -> Iterator[Pattern]:
     """Patterns on a fixed base: all labels x correction assignments.
 
-    Plane angles are pi/4 and Pauli angles 0.  ``corrections`` is "all"
+    Each angle is its label's ``default_angle``.  ``corrections`` is "all"
     (every assignment of at most two vertices per set) or "sampled" (the
     empty assignment, four seeded draws, and the induced sets of an extended
     flow when one exists -- guaranteeing deterministic positives).
     """
     vmask = g.vmask
     measured = list(order)
-    plane_angle = Angle.of_pi("1/4")
     rng = random.Random(5)
     for labels in label_assignments(measured, inputs):
         futures = []
@@ -171,9 +168,7 @@ def _patterns_for_base(
             seen |= 1 << v
             futures.append(vmask & ~seen)
         per_step_options = [[s for s in subsets(fut) if s.bit_count() <= 2] for fut in futures]
-        angle_of = {
-            v: plane_angle if labels[v].is_plane else Angle.ZERO for v in measured
-        }
+        angle_of = {v: default_angle(labels[v]) for v in measured}
 
         def build(corr: Sequence[tuple[int, int]]):
             steps = tuple(

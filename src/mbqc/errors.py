@@ -11,10 +11,6 @@ class DomainError(MbqcError, ValueError):
     """A vertex or set argument lies outside its required domain."""
 
 
-class UniverseMismatchError(MbqcError, ValueError):
-    """Two operators defined over different vertex universes were combined."""
-
-
 class PreconditionError(MbqcError, ValueError):
     """A documented precondition of an operation does not hold."""
 

@@ -13,11 +13,10 @@ weaken as the search advances (more vertices placed after ``u`` widen
 ``u``'s choices; a compensation that fits in a prefix of the order fits in
 every longer one).  ``find_extended_pauli_flow`` still backtracks.
 
-The whole-row form ``kappa_row`` evaluates the predicate against every
-candidate ``v`` at once with a handful of integer operations; the searches
-and the batch checkers lean on it heavily.  The per-axis reformulation of
-the flow condition that criterion 1 checks it against lives in
-``mbqc.oracles``.
+``kappa_row`` evaluates the predicate against every candidate ``v`` at
+once with a handful of integer operations; the checkers and the searches
+all read it a row at a time.  The per-axis reformulation of the flow
+condition that criterion 1 checks it against lives in ``mbqc.oracles``.
 """
 
 from __future__ import annotations
@@ -180,18 +179,14 @@ def _check_measured(g: OpenGraph, v: int, name: str) -> None:
         raise DomainError(f"{name}={v} is not a measured vertex")
 
 
-def _check_correction_set(g: OpenGraph, d: int) -> None:
-    if d & ~g.vmask:
-        raise DomainError("correction set contains vertices outside the graph")
-    if d & ~g.non_inputs:
-        raise DomainError("correction set touches input vertices")
-
-
 def kappa_row(g: OpenGraph, d: int, u: int, odd_d: int | None = None) -> int:
     """Mask of all measured ``v`` that are ``d``-correctors of ``u``.
 
-    Equals ``{v : kappa(u, v, d)}``.  A set bit at ``u`` itself means the
-    vertex would have to correct its own measurement.
+    Equals ``{v : kappa(u, v, d)}``: ``v`` is in the row iff some axis of its
+    label matches its membership -- X in the odd neighborhood of ``d``, Y in
+    ``d`` xor that neighborhood, Z in ``d`` itself -- each XORed with
+    ``u == v``.  A set bit at ``u`` itself means the vertex would have to
+    correct its own measurement.
     """
     if odd_d is None:
         odd_d = odd_neighborhood(g, d)
@@ -202,19 +197,6 @@ def kappa_row(g: OpenGraph, d: int, u: int, odd_d: int | None = None) -> int:
         | (g.z_labelled & (d ^ bu))
     )
     return row & g.measured
-
-
-def is_corrector(g: OpenGraph, d: int, u: int, v: int) -> bool:
-    """Whether ``v`` can serve in correcting ``u`` via the set ``d``.
-
-    True iff some axis of ``v``'s label matches ``v``'s membership pattern:
-    X against the odd neighborhood of ``d``, Y against ``d`` xor its odd
-    neighborhood, Z against ``d`` itself -- each XORed with ``u == v``.
-    """
-    _check_measured(g, u, "u")
-    _check_measured(g, v, "v")
-    _check_correction_set(g, d)
-    return bool((kappa_row(g, d, u) >> v) & 1)
 
 
 def _check_correction_function(g: OpenGraph, p: CorrectionFunction) -> None:
@@ -347,8 +329,18 @@ def certificate_violation(g: OpenGraph, cert: FlowCertificate) -> str | None:
 # ---------------------------------------------------------------------------
 # Certificate search (instance sizes are capped).
 
+#: ``find_pauli_flow`` tabulates every correction set, 2^|non-inputs| of them.
+PAULI_FLOW_MAX_VERTICES = 8
+#: ``find_extended_pauli_flow`` backtracks over every total order.
+EXTENDED_FLOW_MAX_VERTICES = 6
 
-def find_pauli_flow(g: OpenGraph, max_vertices: int = 8) -> FlowCertificate | None:
+
+def _check_vertex_bound(g: OpenGraph, bound: int) -> None:
+    if len(g.graph.vertices) > bound:
+        raise ResourceLimitError(f"graph has {len(g.graph.vertices)} vertices; bound is {bound}")
+
+
+def find_pauli_flow(g: OpenGraph) -> FlowCertificate | None:
     """A Pauli flow found by layer peeling, with the reachability order of its
     corrector graph; None when the graph has none.
 
@@ -358,10 +350,7 @@ def find_pauli_flow(g: OpenGraph, max_vertices: int = 8) -> FlowCertificate | No
     that choice, so a vertex placeable now stays placeable later, and a
     round that places nothing proves that no flow exists.
     """
-    if len(g.graph.vertices) > max_vertices:
-        raise ResourceLimitError(
-            f"graph has {len(g.graph.vertices)} vertices; bound is {max_vertices}"
-        )
+    _check_vertex_bound(g, PAULI_FLOW_MAX_VERTICES)
     odd = {d: odd_neighborhood(g, d) for d in subsets(g.non_inputs)}
     candidates = {
         u: [(d, kappa_row(g, d, u, od)) for d, od in odd.items()]
@@ -389,7 +378,7 @@ def find_pauli_flow(g: OpenGraph, max_vertices: int = 8) -> FlowCertificate | No
     return FlowCertificate.make("pauli", g, chosen_d, order)
 
 
-def find_extended_pauli_flow(g: OpenGraph, max_vertices: int = 6) -> FlowCertificate | None:
+def find_extended_pauli_flow(g: OpenGraph) -> FlowCertificate | None:
     """Exhaustive extended-flow search over total measurement orders.
 
     Orders are enumerated lexicographically; corrections are assigned from
@@ -397,10 +386,7 @@ def find_extended_pauli_flow(g: OpenGraph, max_vertices: int = 6) -> FlowCertifi
     checked (and its compensation found) as soon as its correction set is
     chosen.  No polynomial algorithm is known, hence the small bound.
     """
-    if len(g.graph.vertices) > max_vertices:
-        raise ResourceLimitError(
-            f"graph has {len(g.graph.vertices)} vertices; bound is {max_vertices}"
-        )
+    _check_vertex_bound(g, EXTENDED_FLOW_MAX_VERTICES)
     measured = g.measured_vertices()
     if not measured:
         return FlowCertificate.make("extended", g, {}, StrictPartialOrder.make(0, ()))
@@ -567,10 +553,6 @@ class CorrectionPartition:
 
     def z_part(self, s: int) -> int:
         return s & self.odd_set
-
-    @property
-    def all_correctors(self) -> int:
-        return self.p_set | self.odd_set
 
 
 def correction_partition(

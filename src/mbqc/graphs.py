@@ -64,11 +64,6 @@ class Label(enum.Enum):
     def __contains__(self, axis: object) -> bool:
         return isinstance(axis, Axis) and axis.value in self.value
 
-    @staticmethod
-    def from_axes(axes: Iterable[Axis]) -> Label:
-        name = "".join(a.value for a in sorted(set(axes)))
-        return Label(name)
-
     @property
     def complement(self) -> Axis:
         """The axis not in a plane label."""
@@ -148,11 +143,6 @@ def odd_neighborhood(g: Graph | OpenGraph, d: int) -> int:
     for v in iter_bits(d):
         out ^= graph.adj[v]
     return out
-
-
-def codd(g: Graph | OpenGraph, d: int) -> int:
-    """``d`` XOR its odd neighborhood."""
-    return d ^ odd_neighborhood(g, d)
 
 
 @dataclass(frozen=True)

@@ -157,12 +157,3 @@ def outcome_mask(pat: Pattern, m: OutcomeAssignment) -> int:
             raise DomainError(f"outcome of qubit {s.qubit} must be 0 or 1")
         mask |= bit << s.qubit
     return mask
-
-
-def outcome_assignments(pat: Pattern) -> list[dict[int, int]]:
-    """All 2^k outcome assignments, in lexicographic order over step order."""
-    qubits = [s.qubit for s in pat.steps]
-    out = []
-    for k in range(1 << len(qubits)):
-        out.append({q: (k >> i) & 1 for i, q in enumerate(qubits)})
-    return out

@@ -13,8 +13,8 @@ steps carry:
   plane acting on the plane qubit -- a genuinely nondeterministic case, and
   the only one that leaves an outcome-conditioned mark on the plane qubit.
 
-A second single-result implementation computes the same move through
-explicit exponent formulas and is kept independent for cross-checking.
+The single-result exponent-formula push that the tests check this one
+against lives in ``mbqc.oracles``.
 
 Pushes keep the channel (``semantics``) only of robustly deterministic
 patterns.  Of 1,500 ``random_valid_patterns`` (seed 2024), the 58
@@ -29,7 +29,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .bits import parity
-from .errors import DomainError, PushInapplicableError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .graphs import Axis
 from .patterns import MeasurementStep, Pattern
 
@@ -155,52 +155,6 @@ def push_step(pat: Pattern, u: int, plane_axis: Axis | None = None) -> frozenset
     """
     axes = None if plane_axis is None else (plane_axis,)
     return frozenset(p for p, _ in push_step_choices(pat, u, axes))
-
-
-def push_step_robust(pat: Pattern, u: int, sigma_prime: Axis | None = None) -> Pattern:
-    """Single-result push via the exponent formulas.
-
-    With sigma = X^x Z^z the mark on ``u``, y the commutation defect of R
-    and C, and P the measured axis, the exponent of the conditional plane
-    mark is ``(y+z)(1+x)`` for P=Z, ``(y+x)(1+z)`` for P=X and
-    ``(y+z)(1+x+z)`` for P=Y, all mod 2; the plane step keeps R exactly when
-    that exponent vanishes and additionally receives C when sigma
-    anticommutes with P.  Any axis of the plane may serve as the mark.
-    """
-    i = pat.step_index(u)
-    step_u = pat.steps[i]
-    if not step_u.label.is_pauli:
-        raise DomainError(f"qubit {u} is not Pauli-measured")
-    if i == 0 or not pat.steps[i - 1].label.is_plane:
-        raise PushInapplicableError(f"no plane measurement directly before qubit {u}")
-    step_v = pat.steps[i - 1]
-    v = step_v.qubit
-    bu = 1 << u
-    x = int(bool(step_v.x_corr & bu))
-    z = int(bool(step_v.z_corr & bu))
-    rx, rz = step_v.x_corr & ~bu, step_v.z_corr & ~bu
-    cx, cz = step_u.x_corr, step_u.z_corr
-    p_axis = step_u.label.axes[0]
-    y = 0 if _supports_commute(rx, rz, cx, cz) else 1
-    r = 1 if _anticommutes_with_axis(x, z, p_axis) else 0
-    if p_axis is Axis.Z:
-        alpha = (y + z) * (1 + x)
-    elif p_axis is Axis.X:
-        alpha = (y + x) * (1 + z)
-    else:
-        alpha = (y + z) * (1 + x + z)
-    alpha &= 1
-
-    axis = sigma_prime if sigma_prime is not None else step_v.label.axes[0]
-    if axis not in step_v.label:
-        raise DomainError(f"axis {axis.value} is not in the plane of qubit {v}")
-    ncx, ncz = (cx, cz) if alpha == 0 else _merge_axis(cx, cz, v, axis)
-    keep_r = (alpha + 1) & 1
-    vx = (cx if r else 0) ^ (rx if keep_r else 0)
-    vz = (cz if r else 0) ^ (rz if keep_r else 0)
-    new_u = MeasurementStep(u, step_u.label, step_u.angle, ncx, ncz)
-    new_v = MeasurementStep(v, step_v.label, step_v.angle, vx, vz)
-    return _swap_steps(pat, i, new_u, new_v)
 
 
 def pauli_inversions(pat: Pattern) -> int:

@@ -143,10 +143,6 @@ class Superoperator:
     out_qubits: tuple[int, ...]
     kraus: tuple[np.ndarray, ...] = field(compare=False, default=())
 
-    def is_trace_preserving(self) -> bool:
-        acc = sum(k.conj().T @ k for k in self.kraus)
-        return bool(np.max(np.abs(acc - np.eye(1 << len(self.in_qubits)))) <= DEFAULT_TOL)
-
 
 def _basis_vectors(label: Label, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Measurement basis at a numeric angle (no constraint checks)."""
@@ -546,7 +542,7 @@ def enumerate_projected_stabilizers(
         if smask & za != odd & xa:
             continue
         found.add((smask & ~xa, odd & ~za))
-    return frozenset(PauliOperator(remaining, x, z, 0) for x, z in found)
+    return frozenset(PauliOperator(remaining, x, z) for x, z in found)
 
 
 def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> complex | None:
@@ -561,61 +557,3 @@ def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> complex | None:
     if np.max(np.abs(a - c * b)) <= tol * max(1.0, float(nb)):
         return complex(c)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Branch-relation trichotomy for plane measurements.
-
-
-@dataclass(frozen=True)
-class BranchRelation:
-    kind: str  # "proportional" | "split" | "neither"
-    x: int | None = None
-    residual: QuantumState | None = None
-
-
-def classify_branch_relation(
-    phi: QuantumState,
-    phi_prime: QuantumState,
-    u: int,
-    label: Label,
-) -> BranchRelation:
-    """Decide how two states can agree under all plane measurements of u.
-
-    Hypotheses (projections onto the plus state proportional and of norm
-    2^(-1/2), sampled at angles 0, pi/2, pi) are checked first; under them
-    either the states are proportional, or qubit u factors out in opposite
-    eigenstates of the axis outside the plane, sharing the residual.
-    """
-    if not label.is_plane:
-        raise DomainError("classification needs a plane label")
-    if phi.qubits != phi_prime.qubits:
-        raise DomainError("states live on different registers")
-    if u not in phi.qubits:
-        raise DomainError(f"qubit {u} is not part of the register")
-    a = phi.vector / (phi.norm or 1.0)
-    b = phi_prime.vector / (phi_prime.norm or 1.0)
-    for alpha in (0.0, math.pi / 2.0, math.pi):
-        plus, _ = _basis_vectors(label, alpha)
-        pa, _ = project(a, phi.qubits, u, plus)
-        pb, _ = project(b, phi.qubits, u, plus)
-        if abs(np.linalg.norm(pa) - _INV_SQRT2) > PHASE_TOL:
-            return BranchRelation("neither")
-        if _proportional(pa, pb, PHASE_TOL) is None and np.linalg.norm(pa - pb) > PHASE_TOL:
-            return BranchRelation("neither")
-    if _proportional(a, b, PHASE_TOL) is not None:
-        return BranchRelation("proportional")
-    p_axis = label.complement
-    plus0, minus0 = _BASIS0[p_axis]
-    for x, (ea, eb) in enumerate(((plus0, minus0), (minus0, plus0))):
-        psi, rest = project(a, phi.qubits, u, ea)
-        other, _ = project(a, phi.qubits, u, eb)
-        psi_b, _ = project(b, phi.qubits, u, eb)
-        other_b, _ = project(b, phi.qubits, u, ea)
-        if (
-            np.linalg.norm(other) <= PHASE_TOL
-            and np.linalg.norm(other_b) <= PHASE_TOL
-            and _proportional(psi_b, psi, PHASE_TOL) is not None
-        ):
-            return BranchRelation("split", x, QuantumState(rest, psi))
-    return BranchRelation("neither")

@@ -106,20 +106,19 @@ def test_find_flow_none(tmp_path, capsys):
 
 
 def test_find_flow_oversized(tmp_path, capsys):
-    og = OpenGraph.make(Graph.make(list(range(9)), []), [], list(range(9)), {})
-    gpath = _write(tmp_path, "g.json", open_graph_to_json(og))
-    assert main(["find-flow", gpath, "--kind", "pauli"]) == 2
-
-
-def test_find_flow_max_vertices(tmp_path, capsys):
-    og, _ = extended_flow_example()
-    gpath = _write(tmp_path, "g.json", open_graph_to_json(og))
-    assert main(["find-flow", gpath, "--kind", "epf", "--max-vertices", "4"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-    assert "bound is 4" in captured.err
-    assert main(["find-flow", gpath, "--kind", "pauli", "--max-vertices", "5"]) == 0
-    assert json.loads(capsys.readouterr().out)["kind"] == "pauli"
+    # Each finder's vertex bound is fixed: one vertex more exits 2.
+    for kind, n, bound in (("pauli", 9, 8), ("epf", 7, 6)):
+        og = OpenGraph.make(Graph.make(list(range(n)), []), [], list(range(n)), {})
+        gpath = _write(tmp_path, f"g{n}.json", open_graph_to_json(og))
+        assert main(["find-flow", gpath, "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert f"bound is {bound}" in captured.err
+    # No option lifts a bound.
+    with pytest.raises(SystemExit) as exc:
+        main(["find-flow", gpath, "--kind", "pauli", "--max-vertices", "40"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-vertices 40" in capsys.readouterr().err
 
 
 def test_check_determinism_pair(tmp_path, capsys):

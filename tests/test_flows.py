@@ -26,7 +26,6 @@ from mbqc import (
     find_inducing_certificate,
     find_pauli_flow,
     induced_pattern,
-    is_corrector,
     is_induced_by,
     mask_of,
     serialize_pattern,
@@ -41,7 +40,13 @@ from mbqc.corpus import (
     random_partial_order,
 )
 from mbqc.errors import ResourceLimitError
-from mbqc.flows import certificate_violation, check_pauli_flow_many, kappa_row
+from mbqc.flows import (
+    EXTENDED_FLOW_MAX_VERTICES,
+    PAULI_FLOW_MAX_VERTICES,
+    certificate_violation,
+    check_pauli_flow_many,
+    kappa_row,
+)
 from mbqc.oracles import check_pauli_flow_original, check_pauli_flow_original_many
 
 EDGE = Graph.make([1, 2], [(1, 2)])
@@ -50,35 +55,28 @@ EDGE_OG = OpenGraph.make(EDGE, [1], [2], {1: Label.XY})
 
 def naive_is_corrector(g: OpenGraph, d: int, u: int, v: int) -> bool:
     """Clause-by-clause re-implementation used as the independent oracle."""
-    from mbqc import codd, odd_neighborhood
+    from mbqc import odd_neighborhood
 
     lab = g.label(v)
     out = False
     if "X" in lab.value:
         out |= bool((odd_neighborhood(g, d) >> v) & 1) ^ (u == v)
     if "Y" in lab.value:
-        out |= bool((codd(g, d) >> v) & 1) ^ (u == v)
+        out |= bool(((d ^ odd_neighborhood(g, d)) >> v) & 1) ^ (u == v)
     if "Z" in lab.value:
         out |= bool((d >> v) & 1) ^ (u == v)
     return out
 
 
 def test_is_corrector_worked_example():
-    # d = {2}: every clause of kappa_{1,1} cancels, so it is false.
-    assert is_corrector(EDGE_OG, mask_of([2]), 1, 1) is False
+    # d = {2}: every clause of kappa_{1,1} cancels, so bit 1 of the row is clear.
+    assert not (kappa_row(EDGE_OG, mask_of([2]), 1) >> 1) & 1
 
 
 def test_is_corrector_empty_set_self():
     g = Graph.make([0, 1], [])
     og = OpenGraph.make(g, [], [1], {0: Label.XY})
-    assert is_corrector(og, 0, 0, 0) is True  # X-clause: false xor true
-
-
-def test_is_corrector_domain_errors():
-    with pytest.raises(DomainError):
-        is_corrector(EDGE_OG, 0, 1, 2)  # v is an output
-    with pytest.raises(DomainError):
-        is_corrector(EDGE_OG, mask_of([1]), 1, 1)  # d touches an input
+    assert (kappa_row(og, 0, 0) >> 0) & 1  # X-clause: false xor true
 
 
 def test_is_corrector_matches_naive_exhaustively():
@@ -292,12 +290,16 @@ def test_find_pauli_flow_none_for_isolated_plane_vertex():
 
 
 def test_find_pauli_flow_resource_bound():
-    g = Graph.make(list(range(9)), [])
-    og = OpenGraph.make(g, [], list(range(9)), {})
-    with pytest.raises(ResourceLimitError):
-        find_pauli_flow(og)
-    with pytest.raises(ResourceLimitError):
-        find_extended_pauli_flow(OpenGraph.make(Graph.make(list(range(7)), []), [], list(range(7)), {}))
+    def edgeless(n: int) -> OpenGraph:
+        return OpenGraph.make(Graph.make(list(range(n)), []), [], list(range(n)), {})
+
+    assert (PAULI_FLOW_MAX_VERTICES, EXTENDED_FLOW_MAX_VERTICES) == (8, 6)
+    with pytest.raises(ResourceLimitError, match="9 vertices; bound is 8"):
+        find_pauli_flow(edgeless(9))
+    with pytest.raises(ResourceLimitError, match="7 vertices; bound is 6"):
+        find_extended_pauli_flow(edgeless(7))
+    assert find_pauli_flow(edgeless(8)) is not None
+    assert find_extended_pauli_flow(edgeless(6)) is not None
 
 
 def brute_force_has_pauli_flow(og: OpenGraph) -> bool:
@@ -449,8 +451,8 @@ def test_correction_partition():
     assert part2.f == mask_of([2])
     for u in total:
         part = correction_partition(og, p, total, u)
-        assert part.a | part.b | part.c | part.f == part.all_correctors
-        assert part.x_part(part.all_correctors) == part.p_set
+        assert part.a | part.b | part.c | part.f == part.p_set | part.odd_set
+        assert part.x_part(part.p_set | part.odd_set) == part.p_set
         if (part.p_set | part.odd_set) & (1 << u):
             assert part.f == 1 << u
 
@@ -459,7 +461,7 @@ def test_correction_partition_all_correctors_unmeasured():
     cert = find_pauli_flow(EDGE_OG)
     part = correction_partition(EDGE_OG, cert.p_map(), [1], 1)
     # Everything except the vertex itself sits in the unmeasured class.
-    assert part.c == part.all_correctors & ~part.f
+    assert part.c == (part.p_set | part.odd_set) & ~part.f
     assert part.a == 0 and part.b == 0
 
 

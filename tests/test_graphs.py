@@ -1,26 +1,12 @@
-"""Vertex-set algebra and Pauli operator tests."""
+"""Vertex-set algebra, open-graph and label tests."""
 
 from __future__ import annotations
 
 import pytest
 
-from mbqc import (
-    Axis,
-    DomainError,
-    Graph,
-    Label,
-    OpenGraph,
-    UniverseMismatchError,
-    codd,
-    mask_of,
-    odd_neighborhood,
-    pauli_commutes,
-    pauli_multiply,
-    stabilizer_of,
-)
+from mbqc import Axis, DomainError, Graph, Label, OpenGraph, mask_of, odd_neighborhood
 from mbqc.bits import bit_list, subsets
 from mbqc.corpus import all_graphs
-from mbqc.pauli import identity, single
 
 PATH = Graph.make([1, 2, 3], [(1, 2), (2, 3)])
 TRIANGLE = Graph.make([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
@@ -50,26 +36,16 @@ def test_odd_neighborhood_path(d, expected):
     assert odd_neighborhood(PATH, d) == brute_odd(PATH, d)
 
 
+def test_odd_neighborhood_triangle():
+    # d = {1,2}: vertices 1 and 2 each see one member of d, vertex 3 sees two.
+    d = mask_of([1, 2])
+    assert bit_list(odd_neighborhood(TRIANGLE, d)) == [1, 2]
+    assert odd_neighborhood(TRIANGLE, d) == brute_odd(TRIANGLE, d)
+
+
 def test_odd_neighborhood_domain_error():
     with pytest.raises(DomainError):
         odd_neighborhood(PATH, mask_of([7]))
-
-
-@pytest.mark.parametrize(
-    "d, expected",
-    [
-        (0, []),
-        (mask_of([2]), [1, 2, 3]),
-    ],
-)
-def test_codd_path(d, expected):
-    assert bit_list(codd(PATH, d)) == expected
-
-
-def test_codd_is_componentwise():
-    for g in all_graphs([0, 1, 2, 3]):
-        for d in subsets(g.vmask):
-            assert codd(g, d) == d ^ odd_neighborhood(g, d)
 
 
 def test_odd_linear_over_symmetric_difference():
@@ -87,67 +63,6 @@ def test_d_meets_odd_d_evenly():
         for g in all_graphs(list(range(n))):
             for d in subsets(g.vmask):
                 assert (d & odd_neighborhood(g, d)).bit_count() % 2 == 0
-
-
-def _og(graph: Graph) -> OpenGraph:
-    return OpenGraph.make(graph, [], graph.vertices, {})
-
-
-def test_stabilizer_of_examples():
-    og = _og(PATH)
-    assert stabilizer_of(og, 0) == identity(PATH.vmask)
-    s = stabilizer_of(og, mask_of([2]))
-    assert bit_list(s.xsupport) == [2]
-    assert bit_list(s.zsupport) == [1, 3]
-    assert s.phase == 1
-    # Triangle, d = {1,2}: neighbour parity puts exactly 1 and 2 in the odd set.
-    t = stabilizer_of(_og(TRIANGLE), mask_of([1, 2]))
-    assert bit_list(t.xsupport) == [1, 2]
-    assert t.zsupport == brute_odd(TRIANGLE, mask_of([1, 2]))
-    assert bit_list(t.zsupport) == [1, 2]
-
-
-def test_pauli_multiply_example():
-    u = mask_of([1, 2])
-    x1 = single(u, 1, Axis.X)
-    z1 = single(u, 1, Axis.Z)
-    prod = pauli_multiply(x1, z1)
-    # X Z = -i Y: stored as plain XZ support with phase +1.
-    assert prod.phase == 1
-    assert bit_list(prod.xsupport) == [1]
-    assert bit_list(prod.zsupport) == [1]
-    assert prod.axis_at(1) is Axis.Y
-
-
-def test_pauli_commutes_examples():
-    u = mask_of([1, 2])
-    assert pauli_commutes(single(u, 1, Axis.X), single(u, 2, Axis.Z))
-    assert not pauli_commutes(single(u, 1, Axis.X), single(u, 1, Axis.Z))
-
-
-def test_pauli_universe_mismatch():
-    with pytest.raises(UniverseMismatchError):
-        pauli_multiply(single(1, 0, Axis.X), single(3, 0, Axis.X))
-
-
-def test_pauli_associativity_single_qubit():
-    u = 1
-    ops = [identity(u)] + [single(u, 0, a) for a in Axis]
-    for a in ops:
-        for b in ops:
-            for c in ops:
-                left = pauli_multiply(pauli_multiply(a, b), c)
-                right = pauli_multiply(a, pauli_multiply(b, c))
-                assert left == right
-
-
-def test_pauli_y_convention():
-    # Y = i X Z, so single(Y) carries phase i over both supports.
-    y = single(1, 0, Axis.Y)
-    assert y.phase == 1j
-    assert y.xsupport == 1 and y.zsupport == 1
-    yy = pauli_multiply(y, y)
-    assert yy == identity(1)
 
 
 def test_open_graph_invariants():
@@ -177,5 +92,4 @@ def test_label_basics():
     assert Label.Y.is_pauli and not Label.Y.is_plane
     assert Label.XZ.complement is Axis.Y
     assert Axis.Z in Label.YZ and Axis.X not in Label.YZ
-    assert Label.from_axes([Axis.Z, Axis.X]) is Label.XZ
     assert len(Label.XY) == 2

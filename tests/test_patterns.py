@@ -241,12 +241,3 @@ def test_bind_angles():
     # Unknown names stay symbolic.
     assert pat.bind({"other": Angle.ZERO}).steps[0].angle.var == "theta"
 
-
-def test_outcome_assignments_order():
-    pat = parse_pattern("M_2^X M_1^X E_{1,2} N_1 N_2")
-    from mbqc.patterns import outcome_assignments
-
-    outs = outcome_assignments(pat)
-    assert len(outs) == 4
-    assert outs[0] == {1: 0, 2: 0}
-    assert outs[1] == {1: 1, 2: 0}

@@ -20,7 +20,6 @@ from mbqc import (
     parse_pattern,
     pauli_inversions,
     push_step,
-    push_step_robust,
     semantics,
     serialize_pattern,
     superoperator_equal,
@@ -28,6 +27,7 @@ from mbqc import (
 )
 from mbqc.corpus import pattern_corpus, random_valid_patterns
 from mbqc.errors import DomainError, PushInapplicableError
+from mbqc.oracles import push_step_robust
 from mbqc.rewrite import PushChoice, normalize_with_trace, push_step_choices
 
 THETA = {"θ": Angle.of_real(0.613)}

@@ -20,17 +20,16 @@ from mbqc import (
     Pattern,
     StrictPartialOrder,
     branch_map,
-    classify_branch_relation,
     enumerate_projected_stabilizers,
     graph_state,
     induced_pattern,
     is_robustly_deterministic,
     mask_of,
     measurement_basis,
+    odd_neighborhood,
     parse_pattern,
     plane_fixed_point,
     semantics,
-    stabilizer_of,
     stabilizer_sign,
     superoperator_equal,
     underlying_open_graph,
@@ -40,19 +39,32 @@ from mbqc.bits import bit_list, subsets
 from mbqc.corpus import pattern_corpus
 from mbqc.errors import DomainError, PreconditionError, ResourceLimitError
 from mbqc.oracles import brute_force_projected_stabilizers
-from mbqc.simulate import (
-    QuantumState,
-    _basis_vectors,
-    apply_pauli,
-    choi_distance,
-    project,
-)
+from mbqc.simulate import _basis_vectors, apply_pauli, choi_distance, project
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
 MINUS = np.array([1, -1], dtype=complex) / math.sqrt(2)
+
+
+def outcome_assignments(pat: Pattern) -> list[dict[int, int]]:
+    """All 2^k outcome assignments, in lexicographic order over step order."""
+    qubits = [s.qubit for s in pat.steps]
+    return [{q: (k >> i) & 1 for i, q in enumerate(qubits)} for k in range(1 << len(qubits))]
+
+
+def test_outcome_assignments_order():
+    pat = parse_pattern("M_2^X M_1^X E_{1,2} N_1 N_2")
+    outs = outcome_assignments(pat)
+    assert len(outs) == 4
+    assert outs[0] == {1: 0, 2: 0}
+    assert outs[1] == {1: 1, 2: 0}
+
+
+def kraus_sum(kraus) -> np.ndarray:
+    """sum_m K_m^dagger K_m, the identity exactly when the channel is trace preserving."""
+    return sum(k.conj().T @ k for k in kraus)
 
 
 def test_measurement_basis_pauli_z():
@@ -145,12 +157,7 @@ def test_branch_map_no_measurements_is_isometry():
 
 def test_branch_completeness_on_deterministic_pattern():
     pat = parse_pattern("X_2^{s_1} M_1^{{X,Y},0} E_{12} N_2")
-    from mbqc.patterns import outcome_assignments
-
-    acc = sum(
-        branch_map(pat, m).matrix.conj().T @ branch_map(pat, m).matrix
-        for m in outcome_assignments(pat)
-    )
+    acc = kraus_sum(branch_map(pat, m).matrix for m in outcome_assignments(pat))
     assert np.allclose(acc, np.eye(2))
 
 
@@ -162,7 +169,8 @@ def test_branch_completeness_on_deterministic_corpus_sample():
         checked += 1
         if checked > 25:
             break
-        assert semantics(pat).is_trace_preserving()
+        sup = semantics(pat)
+        assert np.allclose(kraus_sum(sup.kraus), np.eye(1 << len(sup.in_qubits)), rtol=0, atol=1e-9)
     assert checked > 10
 
 
@@ -171,7 +179,7 @@ def test_semantics_hadamard_choi():
     sup = semantics(pat)
     expected = np.outer(H.reshape(-1), H.reshape(-1).conj())
     assert np.allclose(sup.choi, expected)
-    assert sup.is_trace_preserving()
+    assert np.allclose(kraus_sum(sup.kraus), np.eye(2), rtol=0, atol=1e-9)
 
 
 def test_superoperator_equal_examples():
@@ -369,8 +377,6 @@ def test_semantics_is_the_sum_over_branch_maps():
     # semantics and branch_map share one measurement step: the Choi matrix
     # is the sum of vec(K) vec(K)^dagger over every outcome branch, and the
     # Kraus list runs over the outcomes with the first step most significant.
-    from mbqc.patterns import outcome_assignments
-
     with_inputs = [pat for pat in pattern_corpus() if pat.inputs]
     for pat in with_inputs[::20]:
         sup = semantics(pat)
@@ -398,8 +404,6 @@ def test_rd_strongness_of_branch_probabilities():
         dim_in = 1 << len(bit_list(pat.inputs))
         state = np.array([rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(dim_in)])
         state /= np.linalg.norm(state)
-        from mbqc.patterns import outcome_assignments
-
         for m in outcome_assignments(pat):
             prob = float(np.linalg.norm(branch_map(pat, m).matrix @ state) ** 2)
             assert abs(prob - 2.0 ** (-k)) < 1e-9
@@ -462,8 +466,7 @@ def test_projected_stabilizers_empty_assignment():
     og = OpenGraph.make(g, [], [0, 1, 2], {})
     expected = set()
     for d in subsets(g.vmask):
-        s = stabilizer_of(og, d)
-        expected.add((s.xsupport, s.zsupport))
+        expected.add((d, odd_neighborhood(og, d)))
     assert {(p.xsupport, p.zsupport) for p in got} == expected
     assert got == brute_force_projected_stabilizers(g, {})
 
@@ -509,33 +512,6 @@ def test_corrected_branch_equivalence_extends_off_plane():
         if checked > 60:
             break
     assert checked > 30
-
-
-def test_classify_branch_relation_cases():
-    g = Graph.make([0, 1], [(0, 1)])
-    state = graph_state(g)
-    assert classify_branch_relation(state, state, 0, Label.XY).kind == "proportional"
-    psi = np.array([0.6, 0.8j], dtype=complex)
-    phi = QuantumState((0, 1), np.kron(KET0, psi))
-    phi_prime = QuantumState((0, 1), np.kron(KET1, psi))
-    res = classify_branch_relation(phi, phi_prime, 0, Label.XY)
-    assert res.kind == "split" and res.x == 0
-    assert np.allclose(np.abs(res.residual.vector), np.abs(psi))
-    flipped = classify_branch_relation(phi_prime, phi, 0, Label.XY)
-    assert flipped.kind == "split" and flipped.x == 1
-
-
-def test_classify_branch_relation_neither():
-    rng = random.Random(8)
-    hits = 0
-    for _ in range(20):
-        a = np.array([rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(4)])
-        b = np.array([rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(4)])
-        res = classify_branch_relation(
-            QuantumState((0, 1), a), QuantumState((0, 1), b), 0, Label.XY
-        )
-        hits += res.kind == "neither"
-    assert hits == 20
 
 
 def test_plane_fixed_point_never_fails_dense():
@@ -686,8 +662,6 @@ def _mixed_patterns():
 
 
 def test_semantics_and_branch_map_match_kron_reference():
-    from mbqc.patterns import outcome_assignments
-
     pats = _mixed_patterns()
     for pat in pats:
         reference = _kron_branches(pat)
