@@ -114,11 +114,21 @@ def test_find_flow_oversized(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert f"bound is {bound}" in captured.err
-    # No option lifts a bound.
-    with pytest.raises(SystemExit) as exc:
-        main(["find-flow", gpath, "--kind", "pauli", "--max-vertices", "40"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --max-vertices 40" in capsys.readouterr().err
+
+
+def test_find_flow_max_vertices(tmp_path, capsys):
+    # No option lifts or lowers a finder's bound; the fixed bounds admit the example.
+    og, _ = extended_flow_example()
+    gpath = _write(tmp_path, "g.json", open_graph_to_json(og))
+    for kind, value in (("epf", "4"), ("pauli", "40")):
+        with pytest.raises(SystemExit) as exc:
+            main(["find-flow", gpath, "--kind", kind, "--max-vertices", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --max-vertices {value}" in captured.err
+    assert main(["find-flow", gpath, "--kind", "pauli"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "pauli"
 
 
 def test_check_determinism_pair(tmp_path, capsys):
