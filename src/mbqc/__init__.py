@@ -19,14 +19,12 @@ _EXPORTS = {
     "bits": ("bit_list", "mask_of"),
     "errors": (
         "CertificateIncompleteError", "DocumentError", "DomainError", "InvariantViolationError",
-        "MbqcError", "PatternSyntaxError", "PreconditionError", "PushInapplicableError",
-        "ResourceLimitError",
+        "MbqcError", "PatternSyntaxError", "PreconditionError", "ResourceLimitError",
     ),
     "flows": (
-        "CorrectionFunction", "CorrectionPartition", "FlowCertificate", "StrictPartialOrder",
-        "check_extended_pauli_flow", "check_gflow", "check_pauli_flow", "correction_partition",
-        "find_extended_pauli_flow", "find_inducing_certificate", "find_pauli_flow",
-        "induced_pattern", "is_induced_by",
+        "CorrectionFunction", "FlowCertificate", "StrictPartialOrder", "check_extended_pauli_flow",
+        "check_gflow", "check_pauli_flow", "find_extended_pauli_flow", "find_inducing_certificate",
+        "find_pauli_flow", "induced_pattern", "is_induced_by",
     ),
     "graphs": ("Axis", "Graph", "Label", "OpenGraph", "odd_neighborhood"),
     "notation": ("parse_pattern", "serialize_pattern"),

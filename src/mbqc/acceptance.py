@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
 
 from .angles import Angle
-from .bits import iter_bits, subsets
+from .bits import iter_bits, mask_of, subsets
 from .corpus import (
     all_graphs,
     all_open_graphs,
@@ -25,7 +26,6 @@ from .corpus import (
     angle_assignments,
     curated_open_graphs,
     extended_flow_example,
-    label_assignments,
     pattern_corpus,
     random_open_graph,
     random_partial_order,
@@ -36,7 +36,6 @@ from .flows import (
     check_extended_pauli_flow,
     check_pauli_flow,
     check_pauli_flow_many,
-    correction_partition,
     find_extended_pauli_flow,
     find_inducing_certificate,
     find_pauli_flow,
@@ -86,26 +85,20 @@ def criterion_1() -> CriterionResult:
     checked = 0
     mismatches = 0
     order_cache: dict[tuple[int, ...], list] = {}
-    for n in (1, 2, 3):
-        verts = list(range(n))
-        for g in all_graphs(verts):
-            dsets = list(subsets(g.vmask))
-            for omask in range(1 << n):
-                measured = [v for v in verts if not (omask >> v) & 1]
-                if not measured:
-                    continue
-                key = tuple(measured)
-                if key not in order_cache:
-                    order_cache[key] = all_partial_orders(measured)
-                orders = order_cache[key]
-                for labels in label_assignments(measured):
-                    og = OpenGraph.make(g, 0, omask, labels)
-                    for combo in product(dsets, repeat=len(measured)):
-                        p = dict(zip(measured, combo))
-                        fast = check_pauli_flow_many(og, p, orders)
-                        orig = check_pauli_flow_original_many(og, p, orders)
-                        checked += len(orders)
-                        mismatches += sum(a != b for a, b in zip(fast, orig))
+    for og in all_open_graphs(3, with_inputs=False):
+        measured = og.measured_vertices()
+        if not measured:
+            continue
+        key = tuple(measured)
+        if key not in order_cache:
+            order_cache[key] = all_partial_orders(measured)
+        orders = order_cache[key]
+        for combo in product(subsets(og.vmask), repeat=len(measured)):
+            p = dict(zip(measured, combo))
+            fast = check_pauli_flow_many(og, p, orders)
+            orig = check_pauli_flow_original_many(og, p, orders)
+            checked += len(orders)
+            mismatches += sum(a != b for a, b in zip(fast, orig))
     rng = random.Random(99)
     for _ in range(1000):
         og = random_open_graph(rng, 5)
@@ -160,19 +153,14 @@ def criterion_2() -> CriterionResult:
 # ---------------------------------------------------------------------------
 # 3/4/9 share the enumerated pattern corpus.
 
-_corpus_cache: list[tuple[Pattern, bool, object]] | None = None
-
-
+@cache
 def _corpus_with_verdicts() -> list[tuple[Pattern, bool, object]]:
-    global _corpus_cache
-    if _corpus_cache is None:
-        out = []
-        for pat in pattern_corpus():
-            rd = bool(is_robustly_deterministic(pat))
-            cert = find_inducing_certificate(pat, "extended")
-            out.append((pat, rd, cert))
-        _corpus_cache = out
-    return _corpus_cache
+    out = []
+    for pat in pattern_corpus():
+        rd = bool(is_robustly_deterministic(pat))
+        cert = find_inducing_certificate(pat, "extended")
+        out.append((pat, rd, cert))
+    return out
 
 
 def criterion_3() -> CriterionResult:
@@ -390,19 +378,26 @@ def _eq3_suite() -> tuple[int, int]:
         total.sort(key=lambda v: (0 if og.label(v).is_pauli else 1))
         if not cert.order.refines_to(total):
             total = cert.order.canonical_extension()
+        p = cert.p_map()
+        paulis = mask_of(v for v in total if og.label(v).is_pauli)
+        before = 0
         for u in total:
             # Capped per absorption, so the count does not depend on the
             # certificates find_pauli_flow returns.
             if used == 400:
                 return checked, failures
-            part = correction_partition(og, cert.p_map(), total, u)
-            if not part.b:
+            # b: the correctors of u already measured in a Pauli basis.
+            pu = p[u]
+            opu = odd_neighborhood(og, pu)
+            b = (pu | opu) & before & paulis
+            before |= 1 << u
+            if not b:
                 continue
             used += 1
-            bx, bz = part.x_part(part.b), part.z_part(part.b)
+            bx, bz = b & pu, b & opu
             dims = list(og.graph.vertices)
             bras = {}
-            for v in iter_bits(part.b):
+            for v in iter_bits(b):
                 angle = Angle.ZERO if rng.random() < 0.5 else Angle.PI
                 bras[v] = measurement_basis(og.label(v), angle).plus
             for _ in range(3):

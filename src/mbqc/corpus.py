@@ -14,8 +14,7 @@ from itertools import combinations, product
 
 from .angles import Angle, default_angle
 from .bits import bit_list, mask_of, subsets
-from .errors import MbqcError
-from .flows import FlowCertificate, StrictPartialOrder, find_extended_pauli_flow
+from .flows import FlowCertificate, StrictPartialOrder, find_extended_pauli_flow, induced_pattern
 from .graphs import ALL_LABELS, Graph, Label, OpenGraph
 from .patterns import MeasurementStep, Pattern, validate
 
@@ -49,10 +48,7 @@ def all_open_graphs(max_vertices: int = 3, with_inputs: bool = True) -> Iterator
                 imasks = range(1 << n) if with_inputs else (0,)
                 for imask in imasks:
                     for labels in label_assignments(measured, imask):
-                        try:
-                            yield OpenGraph.make(g, imask, omask, labels)
-                        except MbqcError:
-                            continue
+                        yield OpenGraph.make(g, imask, omask, labels)
 
 
 def extended_flow_example() -> tuple[OpenGraph, FlowCertificate]:
@@ -120,10 +116,7 @@ def curated_open_graphs() -> Iterator[OpenGraph]:
             if combo in seen:
                 continue
             seen.add(combo)
-            try:
-                yield OpenGraph.make(g, imask, omask, dict(zip(measured, combo)))
-            except MbqcError:
-                continue
+            yield OpenGraph.make(g, imask, omask, dict(zip(measured, combo)))
 
 
 def angle_assignments(og: OpenGraph, seed: int = 11) -> list[dict[int, Angle]]:
@@ -193,14 +186,9 @@ def _patterns_for_base(
             )
         for combo in sorted(combos):
             yield build(combo)
-        try:
-            og = OpenGraph.make(g, inputs, vmask & ~mask_of(measured), labels)
-        except MbqcError:
-            continue
+        og = OpenGraph.make(g, inputs, vmask & ~mask_of(measured), labels)
         cert = find_extended_pauli_flow(og)
         if cert is not None:
-            from .flows import induced_pattern
-
             pat = induced_pattern(
                 og, cert.p_map(), cert.order, cert.order.canonical_extension(), angle_of
             )

@@ -27,10 +27,6 @@ class InvariantViolationError(MbqcError):
     """A quantity that must hold by theory failed numerically."""
 
 
-class PushInapplicableError(MbqcError):
-    """The requested rewrite step does not apply at the given qubit."""
-
-
 class PatternSyntaxError(MbqcError, ValueError):
     """Malformed pattern text; carries the offending position."""
 

@@ -161,22 +161,11 @@ class FlowCertificate:
         comp = tuple((compensations or {}).items())
         return FlowCertificate(kind, graph, tuple(p.items()), order, comp)
 
-    def correction(self, u: int) -> int:
-        try:
-            return self._p[u]
-        except KeyError:
-            raise DomainError(f"correction function undefined at {u}") from None
-
     def compensation(self, v: int) -> int | None:
         return self._comp.get(v)
 
     def p_map(self) -> dict[int, int]:
         return dict(self._p)
-
-
-def _check_measured(g: OpenGraph, v: int, name: str) -> None:
-    if not (g.measured >> v) & 1:
-        raise DomainError(f"{name}={v} is not a measured vertex")
 
 
 def kappa_row(g: OpenGraph, d: int, u: int, odd_d: int | None = None) -> int:
@@ -528,60 +517,6 @@ def is_induced_by(pat: Pattern, cert: FlowCertificate) -> bool:
         if s.z_corr != odd_neighborhood(g, p[s.qubit]) & fut:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class CorrectionPartition:
-    """Partition of p(u) and its odd neighborhood relative to a total order.
-
-    ``a``: correctors already measured in a plane; ``b``: already
-    Pauli-measured; ``c``: not yet measured (outputs included); ``f``: u
-    itself when it participates.  Each set splits into its intersection with
-    p(u) (X side) and with the odd neighborhood (Z side).
-    """
-
-    u: int
-    p_set: int
-    odd_set: int
-    a: int
-    b: int
-    c: int
-    f: int
-
-    def x_part(self, s: int) -> int:
-        return s & self.p_set
-
-    def z_part(self, s: int) -> int:
-        return s & self.odd_set
-
-
-def correction_partition(
-    g: OpenGraph, p: CorrectionFunction, total: Sequence[int], u: int
-) -> CorrectionPartition:
-    _check_measured(g, u, "u")
-    _check_correction_function(g, p)
-    pu = p[u]
-    opu = odd_neighborhood(g, pu)
-    corr = pu | opu
-    pos = {v: i for i, v in enumerate(total)}
-    before = 0
-    for v, i in pos.items():
-        if i < pos[u]:
-            before |= 1 << v
-    planes = 0
-    for v in g.measured_vertices():
-        if g.label(v).is_plane:
-            planes |= 1 << v
-    a = corr & before & planes
-    b = corr & before & ~planes
-    after_total = 0
-    for v, i in pos.items():
-        if i > pos[u]:
-            after_total |= 1 << v
-    c = corr & (after_total | g.outputs)
-    f = corr & (1 << u)
-    assert (a | b | c | f) == corr and not (a & b) and not ((a | b) & (c | f))
-    return CorrectionPartition(u, pu, opu, a, b, c, f)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,8 @@ class Axis(enum.Enum):
     Y = "Y"
     Z = "Z"
 
-    def __lt__(self, other: Axis) -> bool:
-        return _AXIS_RANK[self] < _AXIS_RANK[other]
-
     def __repr__(self) -> str:
         return f"Axis.{self.value}"
-
-
-_AXIS_RANK = {Axis.X: 0, Axis.Y: 1, Axis.Z: 2}
 
 
 class Label(enum.Enum):

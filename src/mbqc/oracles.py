@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from .bits import bit_list
 from .flows import CorrectionFunction, StrictPartialOrder, _check_correction_function
-from .errors import DomainError, PushInapplicableError
+from .errors import DomainError
 from .graphs import Axis, Graph, OpenGraph, odd_neighborhood
 from .patterns import MeasurementStep, Pattern
 from .pauli import PauliOperator
@@ -121,7 +121,7 @@ def push_step_robust(pat: Pattern, u: int, sigma_prime: Axis | None = None) -> P
     if not step_u.label.is_pauli:
         raise DomainError(f"qubit {u} is not Pauli-measured")
     if i == 0 or not pat.steps[i - 1].label.is_plane:
-        raise PushInapplicableError(f"no plane measurement directly before qubit {u}")
+        raise DomainError(f"no plane measurement directly before qubit {u}")
     step_v = pat.steps[i - 1]
     v = step_v.qubit
     bu = 1 << u

@@ -53,19 +53,13 @@ class PushChoice:
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    before: Pattern
-    qubit: int
-    choice: PushChoice
-    after: Pattern
-
-
-@dataclass(frozen=True)
 class RewriteTrace:
-    entries: tuple[TraceEntry, ...]
+    """The pushed qubit and the choice taken, one entry per rewrite step."""
+
+    entries: tuple[tuple[int, PushChoice], ...]
 
     def lines(self) -> list[str]:
-        return [f"u={e.qubit} case={e.choice.case} choice={e.choice}" for e in self.entries]
+        return [f"u={u} case={choice.case} choice={choice}" for u, choice in self.entries]
 
 
 def _anticommutes_with_axis(x: int, z: int, axis: Axis) -> bool:
@@ -214,7 +208,7 @@ def normalize_pauli_first(pat: Pattern, strategy: str = "first") -> Pattern | fr
 def normalize_with_trace(pat: Pattern) -> tuple[Pattern, RewriteTrace]:
     """Deterministic normalization recording every step taken."""
     budget = pauli_inversions(pat)
-    entries: list[TraceEntry] = []
+    entries: list[tuple[int, PushChoice]] = []
     cur = pat
     steps = 0
     while True:
@@ -227,6 +221,6 @@ def normalize_with_trace(pat: Pattern) -> tuple[Pattern, RewriteTrace]:
         nxt, choice = succs[0]
         if pauli_inversions(nxt) >= pauli_inversions(cur):
             raise ResourceLimitError("rewrite measure failed to decrease")
-        entries.append(TraceEntry(cur, u, choice, nxt))
+        entries.append((u, choice))
         cur = nxt
         steps += 1

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import Angle, pauli_multiple
-from .bits import bit_list
+from .bits import bit_list, subsets
 from .errors import (
     DomainError,
     InvariantViolationError,
@@ -533,11 +533,7 @@ def enumerate_projected_stabilizers(
         )
     remaining = graph.vmask & ~amask
     found: set[tuple[int, int]] = set()
-    for s in range(1 << len(graph.vertices)):
-        smask = 0
-        for i, v in enumerate(graph.vertices):
-            if (s >> i) & 1:
-                smask |= 1 << v
+    for smask in subsets(graph.vmask):
         odd = odd_neighborhood(graph, smask)
         if smask & za != odd & xa:
             continue

@@ -21,7 +21,6 @@ from mbqc import (
     check_extended_pauli_flow,
     check_gflow,
     check_pauli_flow,
-    correction_partition,
     find_extended_pauli_flow,
     find_inducing_certificate,
     find_pauli_flow,
@@ -432,37 +431,6 @@ def test_is_induced_by_graph_mismatch():
     pat = induced_pattern(other, {1: 0}, StrictPartialOrder.make([1], []), [1], {1: Angle.ZERO})
     with pytest.raises(DomainError):
         is_induced_by(pat, cert)
-
-
-def test_correction_partition():
-    og, cert = extended_flow_example()
-    p = cert.p_map()
-    total = [0, 1, 2, 3]
-    # First vertex: nothing measured earlier.
-    part0 = correction_partition(og, p, total, 0)
-    assert part0.a == 0 and part0.b == 0
-    # Vertex 2's correctors {1} and Odd({1}) = {0,2,3,4}: 0 and 1 are
-    # already plane-measured, 3 and the output 4 are still unmeasured, and 2
-    # itself completes the partition.
-    part2 = correction_partition(og, p, total, 2)
-    assert bit_list(part2.a) == [0, 1]
-    assert part2.b == 0
-    assert bit_list(part2.c) == [3, 4]
-    assert part2.f == mask_of([2])
-    for u in total:
-        part = correction_partition(og, p, total, u)
-        assert part.a | part.b | part.c | part.f == part.p_set | part.odd_set
-        assert part.x_part(part.p_set | part.odd_set) == part.p_set
-        if (part.p_set | part.odd_set) & (1 << u):
-            assert part.f == 1 << u
-
-
-def test_correction_partition_all_correctors_unmeasured():
-    cert = find_pauli_flow(EDGE_OG)
-    part = correction_partition(EDGE_OG, cert.p_map(), [1], 1)
-    # Everything except the vertex itself sits in the unmeasured class.
-    assert part.c == (part.p_set | part.odd_set) & ~part.f
-    assert part.a == 0 and part.b == 0
 
 
 def test_find_inducing_certificate_roundtrip():

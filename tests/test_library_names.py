@@ -1,7 +1,8 @@
 """Every library definition has a caller: a top-level function or class in
 ``src/mbqc`` is exported by ``mbqc`` or named by the library or the
 benchmark outside its own definition.  ``mbqc.oracles`` is exempt, because
-its callers are the acceptance suite and the tests."""
+its callers are the acceptance suite and the tests.  Every name a library
+module imports at top level is used in that module."""
 
 from __future__ import annotations
 
@@ -51,3 +52,20 @@ def test_every_library_definition_is_exported_or_called():
                 continue
             uncalled.append(f"{path.name}:{node.lineno}: {name}")
     assert not uncalled, "defined but neither exported nor called: " + ", ".join(uncalled)
+
+
+def test_every_top_level_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused, "imported but never used: " + ", ".join(unused)

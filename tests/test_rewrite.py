@@ -26,7 +26,7 @@ from mbqc import (
     validate,
 )
 from mbqc.corpus import pattern_corpus, random_valid_patterns
-from mbqc.errors import DomainError, PushInapplicableError
+from mbqc.errors import DomainError
 from mbqc.oracles import push_step_robust
 from mbqc.rewrite import PushChoice, normalize_with_trace, push_step_choices
 
@@ -93,7 +93,7 @@ def test_push_inapplicable_returns_empty():
     assert push_step(nf, 2) == frozenset()  # nothing before the Pauli step
     with pytest.raises(DomainError):
         push_step(nf, 1)  # qubit 1 is plane-measured
-    with pytest.raises(PushInapplicableError):
+    with pytest.raises(DomainError):
         push_step_robust(nf, 2)
 
 
