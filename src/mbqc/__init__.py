@@ -18,8 +18,8 @@ _EXPORTS = {
     "angles": ("Angle",),
     "bits": ("bit_list", "mask_of"),
     "errors": (
-        "CertificateIncompleteError", "DocumentError", "DomainError", "InvariantViolationError",
-        "MbqcError", "PatternSyntaxError", "PreconditionError", "ResourceLimitError",
+        "DocumentError", "DomainError", "InvariantViolationError", "MbqcError", "PatternSyntaxError",
+        "PreconditionError", "ResourceLimitError",
     ),
     "flows": (
         "CorrectionFunction", "FlowCertificate", "StrictPartialOrder", "check_extended_pauli_flow",

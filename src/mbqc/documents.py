@@ -9,7 +9,8 @@ A pattern document carries the same graph fields plus ``steps`` in execution
 order; its ``outputs`` must equal the unmeasured vertices.  Angles are
 ``{"pi_mult": "1/4"}`` (exact), ``{"real": 0.25}``, or ``{"var": "theta"}``
 for a free symbolic angle.  A certificate document's ``kind`` is the flow
-kind (``epf``, ``pauli``, or ``gflow``)::
+kind (``epf``, ``pauli``, or ``gflow``); only an ``epf`` certificate carries
+``D``, its compensation sets::
 
     {"kind": "epf", "p": {"0": [0, 4]}, "order": [[0, 1]], "D": {"1": [2]}}
 
@@ -223,7 +224,10 @@ def certificate_from_json(payload: dict[str, Any], graph: OpenGraph) -> FlowCert
         order = StrictPartialOrder.make(graph.measured, pairs)
     except Exception as exc:
         raise DocumentError(f"bad order: {exc}") from None
-    comp = id_map_from_json(payload["D"], "D", _id_set) if "D" in payload else {}
+    comp = {}
+    if "D" in payload:
+        _require(kind_name == "epf", f"a {kind_name} certificate takes no D")
+        comp = id_map_from_json(payload["D"], "D", _id_set)
     return FlowCertificate.make(FLOW_KINDS[kind_name], graph, p, order, comp)
 
 

@@ -19,10 +19,6 @@ class ResourceLimitError(MbqcError):
     """An instance exceeds a configured size bound."""
 
 
-class CertificateIncompleteError(MbqcError):
-    """A certificate lacks a compensation set that its own data requires."""
-
-
 class InvariantViolationError(MbqcError):
     """A quantity that must hold by theory failed numerically."""
 

@@ -3,9 +3,12 @@
 The central object is the corrector predicate: vertex ``v`` can serve in
 correcting the measurement of ``u`` via a candidate set ``d`` when at least
 one axis of ``v``'s label is compatible with ``v``'s role in the stabilizer
-generated by ``d``.  Plain flow, the plane-only specialization, and the
-extended variant (which may compensate already-measured plane correctors)
-are all expressed through it.
+generated by ``d``.  One checker applies it to all three kinds: the past
+correctors of ``u`` are its ``p(u)``-correctors that the order does not
+place after ``u`` (unordered ones included).  ``u`` itself among them fails
+every kind; any other fails Pauli flow and gflow, while extended Pauli flow
+admits it when it is plane-measured and compensated at-or-before ``u``.
+Gflow adds its per-plane clauses.
 
 ``find_pauli_flow`` and ``find_inducing_certificate`` choose each vertex's
 correction set on its own, with no backtracking: their constraints only
@@ -14,9 +17,11 @@ weaken as the search advances (more vertices placed after ``u`` widen
 every longer one).  ``find_extended_pauli_flow`` still backtracks.
 
 ``kappa_row`` evaluates the predicate against every candidate ``v`` at
-once with a handful of integer operations; the checkers and the searches
-all read it a row at a time.  The per-axis reformulation of the flow
-condition that criterion 1 checks it against lives in ``mbqc.oracles``.
+once with a handful of integer operations; the checker and the searches
+all read it a row at a time.  The checker calls none of the searches'
+compensation or choice code, so it judges their certificates on its own.
+The per-axis reformulation of the flow condition that criterion 1 checks
+it against lives in ``mbqc.oracles``.
 """
 
 from __future__ import annotations
@@ -27,12 +32,7 @@ from itertools import permutations
 
 from .angles import Angle
 from .bits import iter_bits, mask_of, subsets
-from .errors import (
-    CertificateIncompleteError,
-    DomainError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .errors import DomainError, PreconditionError, ResourceLimitError
 from .graphs import OpenGraph, odd_neighborhood
 from .patterns import MeasurementStep, Pattern, underlying_open_graph
 
@@ -100,9 +100,6 @@ class StrictPartialOrder:
     def less(self, u: int, v: int) -> bool:
         return bool((self._after.get(u, 0) >> v) & 1)
 
-    def leq(self, u: int, v: int) -> bool:
-        return u == v or self.less(u, v)
-
     def refines_to(self, total: Sequence[int]) -> bool:
         """True iff the total sequence is a linear extension."""
         pos = {v: i for i, v in enumerate(total)}
@@ -130,8 +127,8 @@ class StrictPartialOrder:
 class FlowCertificate:
     """A correction function with a compatible measurement order.
 
-    ``compensations`` is only populated for the extended kind, and only for
-    vertices whose correcting role reaches into their own past.
+    ``compensations`` maps a past corrector ``v`` to its set D_v; only the
+    extended kind takes any.
     """
 
     kind: str  # "gflow" | "pauli" | "extended"
@@ -145,6 +142,8 @@ class FlowCertificate:
     def __post_init__(self) -> None:
         if self.kind not in ("gflow", "pauli", "extended"):
             raise DomainError(f"unknown flow kind {self.kind!r}")
+        if self.compensations and self.kind != "extended":
+            raise DomainError(f"a {self.kind} certificate takes no compensation sets")
         object.__setattr__(self, "p", tuple(sorted(self.p)))
         object.__setattr__(self, "compensations", tuple(sorted(self.compensations)))
         object.__setattr__(self, "_p", dict(self.p))
@@ -160,9 +159,6 @@ class FlowCertificate:
     ) -> FlowCertificate:
         comp = tuple((compensations or {}).items())
         return FlowCertificate(kind, graph, tuple(p.items()), order, comp)
-
-    def compensation(self, v: int) -> int | None:
-        return self._comp.get(v)
 
     def p_map(self) -> dict[int, int]:
         return dict(self._p)
@@ -198,24 +194,7 @@ def _check_correction_function(g: OpenGraph, p: CorrectionFunction) -> None:
 
 def check_pauli_flow(g: OpenGraph, p: CorrectionFunction, order: StrictPartialOrder) -> bool:
     """Flow condition: every corrector of ``u`` is measured strictly after it."""
-    return pauli_flow_violation(g, p, order) is None
-
-
-def pauli_flow_violation(
-    g: OpenGraph, p: CorrectionFunction, order: StrictPartialOrder
-) -> str | None:
-    """First violated clause, or None."""
-    _check_correction_function(g, p)
-    for u in sorted(p):
-        row = kappa_row(g, p[u], u)
-        bad = row & ~order.after(u)
-        if bad:
-            v = bad & -bad
-            v = v.bit_length() - 1
-            if v == u:
-                return f"kappa_{{{u},{u}}} holds: {u} would correct itself"
-            return f"kappa_{{{u},{v}}} holds but {u} is not before {v}"
-    return None
+    return _flow_violation(g, "pauli", p, order, {}) is None
 
 
 def check_pauli_flow_many(
@@ -237,82 +216,98 @@ _PLANE_CLAUSES = {
 
 def check_gflow(g: OpenGraph, p: CorrectionFunction, order: StrictPartialOrder) -> bool:
     """Plane-only flow: the flow condition plus per-plane membership clauses."""
-    return gflow_violation(g, p, order) is None
-
-
-def gflow_violation(g: OpenGraph, p: CorrectionFunction, order: StrictPartialOrder) -> str | None:
-    for v in g.measured_vertices():
-        if g.label(v).is_pauli:
-            raise PreconditionError(f"vertex {v} carries a Pauli label; gflow needs planes")
-    err = pauli_flow_violation(g, p, order)
-    if err is not None:
-        return err
-    for u in sorted(p):
-        want_in_p, want_in_odd = _PLANE_CLAUSES[g.label(u).value]
-        in_p = bool((p[u] >> u) & 1)
-        in_odd = bool((odd_neighborhood(g, p[u]) >> u) & 1)
-        if in_p != want_in_p or in_odd != want_in_odd:
-            return f"plane clause for {g.label(u).value} fails at vertex {u}"
-    return None
+    return _flow_violation(g, "gflow", p, order, {}) is None
 
 
 def check_extended_pauli_flow(g: OpenGraph, cert: FlowCertificate) -> bool:
     """Extended flow condition for a certificate of kind "extended".
 
-    For every measured v, collect U_v: the vertices u measured at-or-after v
-    whose correction set makes v a corrector of u.  When U_v is nonempty, v
-    must be plane-measured, must not correct itself, and must come with a
-    compensation set D_v of non-inputs such that v lies in D_v or its odd
-    neighborhood, no member of that union is a D_v-corrector of v, and every
-    member is measured at-or-before every element of U_v.
+    Every past corrector ``v`` of ``u`` (a ``p(u)``-corrector not measured
+    after ``u``, unordered ones included) other than ``u`` itself must be
+    plane-measured and come with a compensation set D_v of non-inputs such
+    that v lies in D_v or its odd neighborhood, that union avoids the
+    outputs and holds no D_v-corrector of v, and every member of it is
+    measured at-or-before ``u``.
     """
-    return extended_pauli_flow_violation(g, cert) is None
-
-
-def extended_pauli_flow_violation(g: OpenGraph, cert: FlowCertificate) -> str | None:
     if cert.kind != "extended":
         raise PreconditionError("certificate kind must be 'extended'")
-    p = cert.p_map()
-    _check_correction_function(g, p)
-    measured = sorted(p)
-    rows = {u: kappa_row(g, p[u], u) for u in measured}
-    order = cert.order
-    for v in measured:
-        bv = 1 << v
-        u_set = [u for u in measured if (rows[u] & bv) and order.leq(v, u)]
-        if not u_set:
-            continue
-        if not g.label(v).is_plane:
-            return f"U_{v} nonempty but vertex {v} is not plane-measured"
-        if v in u_set:
-            return f"vertex {v} lies in U_{v} (it corrects itself)"
-        d = cert.compensation(v)
-        if d is None:
-            raise CertificateIncompleteError(f"compensation missing for vertex {v}")
-        if d & ~g.non_inputs or d & ~g.vmask:
-            return f"D_{v} is not within the non-input vertices"
-        union = d | odd_neighborhood(g, d)
-        if not (union >> v) & 1:
-            return f"vertex {v} is not covered by D_{v} or its odd neighborhood"
-        if union & ~g.measured:
-            return f"D_{v} union its odd neighborhood reaches output vertices"
-        if kappa_row(g, d, v) & union:
-            w = kappa_row(g, d, v) & union
-            w = (w & -w).bit_length() - 1
-            return f"kappa_{{{v},{w}}} holds for D_{v}"
-        for u in u_set:
-            for w in iter_bits(union):
-                if not order.leq(w, u):
-                    return f"D_{v} member {w} is not measured at-or-before {u}"
-    return None
+    return certificate_violation(g, cert) is None
 
 
 def certificate_violation(g: OpenGraph, cert: FlowCertificate) -> str | None:
-    if cert.kind == "pauli":
-        return pauli_flow_violation(g, cert.p_map(), cert.order)
-    if cert.kind == "gflow":
-        return gflow_violation(g, cert.p_map(), cert.order)
-    return extended_pauli_flow_violation(g, cert)
+    """First violated clause of the certificate's own kind, or None."""
+    return _flow_violation(g, cert.kind, cert._p, cert.order, cert._comp)
+
+
+def _flow_violation(
+    g: OpenGraph,
+    kind: str,
+    p: CorrectionFunction,
+    order: StrictPartialOrder,
+    comps: Mapping[int, int],
+) -> str | None:
+    """The one flow rule behind every kind.
+
+    For each measured ``u``, its past correctors are the ``p(u)``-correctors
+    not measured after ``u``.  ``u`` itself among them is a violation for
+    every kind; any other is one for a Pauli flow or a gflow, and must pass
+    the compensation clause against ``u`` for an extended flow, with D_v
+    read from ``comps``.  A gflow also checks its plane clause at ``u``.
+    """
+    _check_correction_function(g, p)
+    if kind == "gflow":
+        for v in g.measured_vertices():
+            if g.label(v).is_pauli:
+                raise PreconditionError(f"vertex {v} carries a Pauli label; gflow needs planes")
+    at_or_before: dict[int, int] | None = None
+    for u in sorted(p):
+        d = p[u]
+        odd_d = odd_neighborhood(g, d)
+        past = kappa_row(g, d, u, odd_d) & ~order.after(u)
+        if past:
+            if (past >> u) & 1:
+                return f"kappa_{{{u},{u}}} holds: {u} would correct itself"
+            if kind != "extended":
+                v = (past & -past).bit_length() - 1
+                return f"kappa_{{{u},{v}}} holds but {u} is not before {v}"
+            if at_or_before is None:
+                at_or_before = {w: 1 << w for w in p}
+                for w in p:
+                    for x in iter_bits(order.after(w) & g.measured):
+                        at_or_before[x] |= 1 << w
+            for v in iter_bits(past):
+                err = _compensation_violation(g, v, comps.get(v), u, at_or_before[u])
+                if err is not None:
+                    return err
+        if kind == "gflow":
+            want_in_p, want_in_odd = _PLANE_CLAUSES[g.label(u).value]
+            if bool((d >> u) & 1) != want_in_p or bool((odd_d >> u) & 1) != want_in_odd:
+                return f"plane clause for {g.label(u).value} fails at vertex {u}"
+    return None
+
+
+def _compensation_violation(
+    g: OpenGraph, v: int, d: int | None, u: int, at_or_before_u: int
+) -> str | None:
+    """The clause a past corrector ``v`` of ``u`` must pass, with D_v = ``d``."""
+    if not g.label(v).is_plane:
+        return f"U_{v} nonempty but vertex {v} is not plane-measured"
+    if d is None:
+        return f"compensation missing for vertex {v}"
+    if d & ~g.non_inputs or d & ~g.vmask:
+        return f"D_{v} is not within the non-input vertices"
+    union = d | odd_neighborhood(g, d)
+    if not (union >> v) & 1:
+        return f"vertex {v} is not covered by D_{v} or its odd neighborhood"
+    if union & ~g.measured:
+        return f"D_{v} union its odd neighborhood reaches output vertices"
+    bad = kappa_row(g, d, v) & union
+    if bad:
+        return f"kappa_{{{v},{(bad & -bad).bit_length() - 1}}} holds for D_{v}"
+    late = union & ~at_or_before_u
+    if late:
+        return f"D_{v} member {(late & -late).bit_length() - 1} is not measured at-or-before {u}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -507,16 +502,9 @@ def is_induced_by(pat: Pattern, cert: FlowCertificate) -> bool:
     if g != cert.graph:
         raise DomainError("pattern and certificate have different open graphs")
     total = pat.measurement_order()
-    if not cert.order.refines_to(total):
-        return False
-    p = cert.p_map()
-    for s in pat.steps:
-        fut = _totals_future(g, total, s.qubit)
-        if s.x_corr != p[s.qubit] & fut:
-            return False
-        if s.z_corr != odd_neighborhood(g, p[s.qubit]) & fut:
-            return False
-    return True
+    return cert.order.refines_to(total) and pat == induced_pattern(
+        g, cert.p_map(), cert.order, total, {s.qubit: s.angle for s in pat.steps}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,25 @@ def test_check_flow_missing_compensation(tmp_path, capsys):
     assert "compensation missing" in capsys.readouterr().out
 
 
+def test_check_flow_epf_rejects_unordered_past_corrector(tmp_path, capsys):
+    # 1 corrects 0 and 0 corrects 1, and the empty order relates neither:
+    # both linear extensions induce non-deterministic patterns.
+    og = OpenGraph.make(Graph.make([0, 1], [(0, 1)]), [], [], {0: Label.X, 1: Label.Z})
+    doc = {"kind": "epf", "p": {"0": [1], "1": [1]}, "order": []}
+    gpath = _write(tmp_path, "g.json", open_graph_to_json(og))
+    assert main(["check-flow", gpath, _write(tmp_path, "c.json", doc), "--kind", "epf"]) == 1
+    assert capsys.readouterr().out == "invalid: U_1 nonempty but vertex 1 is not plane-measured\n"
+
+
+def test_check_flow_compensations_only_on_epf(tmp_path, edge_graph_file, capsys):
+    og, gpath = edge_graph_file
+    doc = certificate_to_json(find_pauli_flow(og))
+    doc["D"] = {"0": [65535]}
+    assert main(["check-flow", gpath, _write(tmp_path, "c.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: a pauli certificate takes no D\n"
+
+
 def test_check_flow_malformed_input(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

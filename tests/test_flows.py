@@ -9,7 +9,6 @@ import pytest
 
 from mbqc import (
     Angle,
-    CertificateIncompleteError,
     DomainError,
     FlowCertificate,
     Graph,
@@ -221,35 +220,56 @@ def test_extended_flow_showcase_instance():
     assert found is not None and check_extended_pauli_flow(og, found)
 
 
-def test_extended_flow_partial_order_checker_is_literal():
-    # Documented sensitivity: with a genuinely partial order, the checker's
-    # at-or-after U sets skip corrector pairs between unordered vertices.
-    # This certificate validates although its induced pattern is not
-    # deterministic; the searches never produce such certificates because
-    # they emit total orders, for which the gap closes.
+def test_extended_flow_checker_rejects_unordered_past_corrector():
+    # A corrector that the partial order leaves unordered relative to u is a
+    # past corrector of u.  Here 1 corrects 0 via p(0), 0 corrects 1 via
+    # p(1), and the empty order relates neither, so vertex 1 (a Z vertex,
+    # which no D set can compensate) must be rejected; both linear
+    # extensions induce non-deterministic patterns.
     g = Graph.make([0, 1], [(0, 1)])
     og = OpenGraph.make(g, [], [], {0: Label.X, 1: Label.Z})
     p = {0: mask_of([1]), 1: mask_of([1])}
     empty_order = StrictPartialOrder.make([0, 1], [])
     cert = FlowCertificate.make("extended", og, p, empty_order, {})
-    assert check_extended_pauli_flow(og, cert)
-    pat = induced_pattern(og, p, empty_order, [0, 1], {0: Angle.ZERO, 1: Angle.ZERO})
+    assert not check_extended_pauli_flow(og, cert)
+    assert certificate_violation(og, cert) == "U_1 nonempty but vertex 1 is not plane-measured"
     from mbqc import is_robustly_deterministic
 
-    assert not is_robustly_deterministic(pat)
-    # The same data over the total order is rejected: the corrector pair
-    # (1 corrects 0 via p(1)) now lands in U_0, whose vertex is Pauli.
-    chain = StrictPartialOrder.chain([0, 1])
-    chain_cert = FlowCertificate.make("extended", og, p, chain, {})
-    assert not check_extended_pauli_flow(og, chain_cert)
-    assert find_inducing_certificate(pat, "extended") is None
+    for total in ([0, 1], [1, 0]):
+        pat = induced_pattern(og, p, empty_order, total, {0: Angle.ZERO, 1: Angle.ZERO})
+        assert not is_robustly_deterministic(pat)
+        assert find_inducing_certificate(pat, "extended") is None
+        chain_cert = FlowCertificate.make("extended", og, p, StrictPartialOrder.chain(total), {})
+        assert not check_extended_pauli_flow(og, chain_cert)
+    assert find_extended_pauli_flow(og) is None
 
 
 def test_extended_flow_missing_compensation():
     og, cert = extended_flow_example()
     incomplete = FlowCertificate.make("extended", og, cert.p_map(), cert.order, {})
-    with pytest.raises(CertificateIncompleteError):
-        check_extended_pauli_flow(og, incomplete)
+    assert not check_extended_pauli_flow(og, incomplete)
+    assert certificate_violation(og, incomplete) == "compensation missing for vertex 0"
+
+
+def test_pauli_flow_is_extended_flow_without_compensations():
+    # With no D sets, every past corrector is a violation for both kinds, so
+    # the two checkers agree on every partial order, unordered pairs included.
+    rng = random.Random(18)
+    for _ in range(3000):
+        og = random_open_graph(rng, rng.randint(2, 5))
+        measured = og.measured_vertices()
+        p = {u: rng.choice(list(subsets(og.non_inputs))) for u in measured}
+        order = random_partial_order(rng, measured)
+        cert = FlowCertificate.make("extended", og, p, order, {})
+        assert check_pauli_flow(og, p, order) == check_extended_pauli_flow(og, cert)
+
+
+def test_compensations_only_on_extended_certificates():
+    order = StrictPartialOrder.make([1], [])
+    for kind in ("pauli", "gflow"):
+        with pytest.raises(DomainError):
+            FlowCertificate.make(kind, EDGE_OG, {1: mask_of([2])}, order, {1: mask_of([2])})
+        assert FlowCertificate.make(kind, EDGE_OG, {1: mask_of([2])}, order, {}).compensations == ()
 
 
 def test_extended_flow_self_in_u_rejected():
@@ -515,7 +535,6 @@ def test_determinism_iff_certificate_random_stress():
 def test_partial_order_basics():
     order = StrictPartialOrder.make([0, 1, 2], [(0, 1), (1, 2)])
     assert order.less(0, 2)  # transitive closure
-    assert order.leq(1, 1)
     assert not order.less(2, 0)
     assert order.refines_to([0, 1, 2])
     assert not order.refines_to([2, 1, 0])
