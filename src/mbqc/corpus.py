@@ -303,17 +303,11 @@ def all_partial_orders(domain: Sequence[int]) -> list[StrictPartialOrder]:
     """Every strict partial order on the domain (meant for tiny domains)."""
     pairs = [(u, v) for u in domain for v in domain if u != v]
     out = []
-    seen = set()
     for emask in range(1 << len(pairs)):
         rel = {pairs[i] for i in range(len(pairs)) if (emask >> i) & 1}
         if any((b, a) in rel for a, b in rel):
             continue
         closed = all((a, d) in rel for a, b in rel for c, d in rel if b == c)
-        if not closed:
-            continue
-        key = frozenset(rel)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(StrictPartialOrder.make(domain, rel))
+        if closed:
+            out.append(StrictPartialOrder.make(domain, rel))
     return out

@@ -228,6 +228,9 @@ def certificate_from_json(payload: dict[str, Any], graph: OpenGraph) -> FlowCert
     if "D" in payload:
         _require(kind_name == "epf", f"a {kind_name} certificate takes no D")
         comp = id_map_from_json(payload["D"], "D", _id_set)
+    for name, sets in (("p", p), ("D", comp)):
+        for v, d in sets.items():
+            _require(not (1 << v | d) & ~graph.vmask, f"{name}({v}) names a vertex outside the graph")
     return FlowCertificate.make(FLOW_KINDS[kind_name], graph, p, order, comp)
 
 

@@ -20,8 +20,8 @@ every longer one).  ``find_extended_pauli_flow`` still backtracks.
 once with a handful of integer operations; the checker and the searches
 all read it a row at a time.  The checker calls none of the searches'
 compensation or choice code, so it judges their certificates on its own.
-The per-axis reformulation of the flow condition that criterion 1 checks
-it against lives in ``mbqc.oracles``.
+Criterion 1 checks its rule against the per-axis reformulation of the
+flow condition in ``mbqc.oracles``.
 """
 
 from __future__ import annotations
@@ -197,21 +197,11 @@ def check_pauli_flow(g: OpenGraph, p: CorrectionFunction, order: StrictPartialOr
     return _flow_violation(g, "pauli", p, order, {}) is None
 
 
-def check_pauli_flow_many(
-    g: OpenGraph, p: CorrectionFunction, orders: Sequence[StrictPartialOrder]
-) -> list[bool]:
-    """Batch variant of :func:`check_pauli_flow` sharing the kappa rows."""
-    _check_correction_function(g, p)
-    rows = [(u, kappa_row(g, p[u], u)) for u in sorted(p)]
-    return [all(row & ~order.after(u) == 0 for u, row in rows) for order in orders]
-
-
-_PLANE_CLAUSES = {
-    # label -> (u in p(u)?, u in Odd(p(u))?)
-    "XY": (False, True),
-    "YZ": (True, False),
-    "XZ": (True, True),
-}
+def _plane_clause_holds(g: OpenGraph, u: int, d: int, odd_d: int) -> bool:
+    """Gflow's plane clause at ``u`` for ``p(u) = d``: XY wants ``u`` in the odd
+    neighborhood ``odd_d`` only, YZ in ``d`` only, XZ in both."""
+    want = {"XY": (0, 1), "YZ": (1, 0), "XZ": (1, 1)}[g.label(u).value]
+    return ((d >> u) & 1, (odd_d >> u) & 1) == want
 
 
 def check_gflow(g: OpenGraph, p: CorrectionFunction, order: StrictPartialOrder) -> bool:
@@ -279,10 +269,8 @@ def _flow_violation(
                 err = _compensation_violation(g, v, comps.get(v), u, at_or_before[u])
                 if err is not None:
                     return err
-        if kind == "gflow":
-            want_in_p, want_in_odd = _PLANE_CLAUSES[g.label(u).value]
-            if bool((d >> u) & 1) != want_in_p or bool((odd_d >> u) & 1) != want_in_odd:
-                return f"plane clause for {g.label(u).value} fails at vertex {u}"
+        if kind == "gflow" and not _plane_clause_holds(g, u, d, odd_d):
+            return f"plane clause for {g.label(u).value} fails at vertex {u}"
     return None
 
 
@@ -552,10 +540,8 @@ def find_inducing_certificate(pat: Pattern, kind: str = "extended") -> FlowCerti
             row = kappa_row(g, d, u, od)
             if row & barred:
                 continue
-            if kind == "gflow":
-                want_in_p, want_in_odd = _PLANE_CLAUSES[g.label(u).value]
-                if bool((d >> u) & 1) != want_in_p or bool((od >> u) & 1) != want_in_odd:
-                    continue
+            if kind == "gflow" and not _plane_clause_holds(g, u, d, od):
+                continue
             opts.append((d, row))
         if not opts:
             return None

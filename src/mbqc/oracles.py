@@ -2,7 +2,8 @@
 
 Each function here restates a library result the slow, obvious way: the
 Pauli-flow condition as the historical per-axis membership clauses
-(criterion 1, against :func:`mbqc.flows.check_pauli_flow_many`), the
+(criterion 1, against :func:`mbqc.flows.kappa_row`'s corrector rows and
+:func:`mbqc.flows.check_pauli_flow`), the
 stabilizers of a Pauli-projected graph state by trying every support pair on
 the state vector (criterion 7, against
 :func:`mbqc.simulate.enumerate_projected_stabilizers`), and one Pauli push
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .bits import bit_list
+from .bits import bit_list, mask_of, subsets
 from .flows import CorrectionFunction, StrictPartialOrder, _check_correction_function
 from .errors import DomainError
 from .graphs import Axis, Graph, OpenGraph, odd_neighborhood
@@ -42,45 +43,45 @@ def check_pauli_flow_original(
     already before v; likewise for Y with the self-difference sets and for
     Z with the sets themselves.  Equivalent to :func:`check_pauli_flow`.
     """
-    return check_pauli_flow_original_many(g, p, [order])[0]
+    return bool(pauli_flow_original_verdicts(g, p, before_table([order], sorted(p))) & 1)
 
 
-def check_pauli_flow_original_many(
-    g: OpenGraph, p: CorrectionFunction, orders: Sequence[StrictPartialOrder]
-) -> list[bool]:
-    """Batch variant of :func:`check_pauli_flow_original`."""
+def before_table(
+    orders: Sequence[StrictPartialOrder], measured: Sequence[int]
+) -> dict[int, dict[int, int]]:
+    """``table[v][m]``: the bitset (bit i for ``orders[i]``) of the orders that
+    place every member of the measured mask ``m`` other than ``v`` before ``v``."""
+    table = {}
+    for v in measured:
+        below = [mask_of(u for u in measured if o.less(u, v)) | 1 << v for o in orders]
+        table[v] = {
+            m: sum(1 << i for i, b in enumerate(below) if not m & ~b)
+            for m in subsets(mask_of(measured))
+        }
+    return table
+
+
+def pauli_flow_original_verdicts(
+    g: OpenGraph, p: CorrectionFunction, before: dict[int, dict[int, int]]
+) -> int:
+    """The per-axis conditions under every order of ``before`` at once: the
+    bitset of the orders that pass (all bits set when nothing is measured)."""
     _check_correction_function(g, p)
     measured = sorted(p)
     odd_p = {u: odd_neighborhood(g, p[u]) for u in measured}
-    codd_p = {u: p[u] ^ odd_p[u] for u in measured}
-    verdicts = []
-    for order in orders:
-        ok = True
-        for v in measured:
-            bv = 1 << v
-            others = [u for u in measured if u != v and not order.less(u, v)]
-            if g.x_labelled & bv:
-                union = 0
-                for u in others:
-                    union |= odd_p[u]
-                if not (odd_p[v] & bv) or (union & bv):
-                    ok = False
-                    break
-            if g.y_labelled & bv:
-                union = 0
-                for u in others:
-                    union |= codd_p[u]
-                if not (codd_p[v] & bv) or (union & bv):
-                    ok = False
-                    break
-            if g.z_labelled & bv:
-                union = 0
-                for u in others:
-                    union |= p[u]
-                if not (p[v] & bv) or (union & bv):
-                    ok = False
-                    break
-        verdicts.append(ok)
+    axis_sets = (
+        (g.x_labelled, odd_p),
+        (g.y_labelled, {u: p[u] ^ odd_p[u] for u in measured}),
+        (g.z_labelled, p),
+    )
+    verdicts = -1
+    for v in measured:
+        bv = 1 << v
+        for labelled, sets in axis_sets:
+            if labelled & bv:
+                if not sets[v] & bv:
+                    return 0
+                verdicts &= before[v][mask_of(u for u in measured if sets[u] & bv)]
     return verdicts
 
 

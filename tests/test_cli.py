@@ -297,6 +297,9 @@ def test_malformed_arguments_exit_2(tmp_path, argv, capsys):
         ("certificate", lambda d: d["p"].update({"-1": [1]})),
         ("certificate", lambda d: d["D"].update({"01": [2]})),
         ("certificate", lambda d: d["p"].update({"1" * 5000: [1]})),  # past int()'s digit limit
+        # Ids within the bound but outside the graph.
+        ("certificate", lambda d: d["D"].update({"0": [65535]})),
+        ("certificate", lambda d: d["D"].update({"9": [2]})),
         ("pattern", lambda d: d["steps"][0].update(qubit=-1)),
         ("pattern", lambda d: d["steps"][0].update(qubit=True)),
         ("pattern", lambda d: d["steps"][0].update(angle={"real": float("nan")})),

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from mbqc import acceptance
 from mbqc import (
     Angle,
     DomainError,
@@ -42,10 +43,9 @@ from mbqc.flows import (
     EXTENDED_FLOW_MAX_VERTICES,
     PAULI_FLOW_MAX_VERTICES,
     certificate_violation,
-    check_pauli_flow_many,
     kappa_row,
 )
-from mbqc.oracles import check_pauli_flow_original, check_pauli_flow_original_many
+from mbqc.oracles import before_table, check_pauli_flow_original, pauli_flow_original_verdicts
 
 EDGE = Graph.make([1, 2], [(1, 2)])
 EDGE_OG = OpenGraph.make(EDGE, [1], [2], {1: Label.XY})
@@ -165,21 +165,30 @@ def test_dagness_equals_compatible_order_existence():
     assert count_dag > 0
 
 
-def test_batch_checkers_match_single():
+def test_criterion_1_tables_match_check_pauli_flow():
+    # Criterion 1 judges a (graph, p) under every order at once through two
+    # bitset tables; bit i of each verdict must be check_pauli_flow's verdict
+    # under orders[i].
     rng = random.Random(11)
-    for _ in range(50):
-        og = random_open_graph(rng, 4)
+    tried = 0
+    for _ in range(60):
+        og = random_open_graph(rng, rng.randint(2, 5))
         measured = og.measured_vertices()
-        if not measured:
+        if len(measured) > 3:
             continue
-        p = {u: rng.choice(list(subsets(og.non_inputs))) for u in measured}
-        orders = [random_partial_order(rng, measured) for _ in range(5)]
-        assert check_pauli_flow_many(og, p, orders) == [
-            check_pauli_flow(og, p, o) for o in orders
-        ]
-        assert check_pauli_flow_original_many(og, p, orders) == [
-            check_pauli_flow_original(og, p, o) for o in orders
-        ]
+        tried += 1
+        orders = all_partial_orders(measured)
+        after = acceptance._after_table(orders, og.measured)
+        before = before_table(orders, measured)
+        for _ in range(5):
+            p = {u: rng.choice(list(subsets(og.non_inputs))) for u in measured}
+            library = -1
+            for u in measured:
+                library &= after[u][kappa_row(og, p[u], u)]
+            want = sum(check_pauli_flow(og, p, o) << i for i, o in enumerate(orders))
+            assert library == want
+            assert pauli_flow_original_verdicts(og, p, before) == want
+    assert tried > 20
 
 
 def test_check_gflow_examples():
