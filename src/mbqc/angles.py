@@ -91,7 +91,7 @@ class Angle:
     def is_pauli_angle(self) -> bool:
         """True iff the angle is 0 or pi (a real one within ``PAULI_ANGLE_TOL``)."""
         if self.pi_mult is not None:
-            return self.pi_mult in (Fraction(0), Fraction(1))
+            return self.pi_mult.denominator == 1  # reduced mod 2: 0 or 1
         if self.real is not None:
             return pauli_multiple(self.real) is not None
         return False

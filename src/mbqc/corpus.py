@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from .angles import Angle, default_angle
 from .bits import bit_list, mask_of, subsets
-from .flows import FlowCertificate, StrictPartialOrder, find_extended_pauli_flow, induced_pattern
+from .flows import FlowCertificate, StrictPartialOrder, _extended_flow_on_chain, induced_pattern
 from .graphs import ALL_LABELS, Graph, Label, OpenGraph
 from .patterns import MeasurementStep, Pattern, validate
 
@@ -148,8 +148,9 @@ def _patterns_for_base(
 
     Each angle is its label's ``default_angle``.  ``corrections`` is "all"
     (every assignment of at most two vertices per set) or "sampled" (the
-    empty assignment, four seeded draws, and the induced sets of an extended
-    flow when one exists -- guaranteeing deterministic positives).
+    empty assignment, four seeded draws, and the sets induced by an extended
+    flow on the base's own step order, when one exists -- by the theorem, a
+    deterministic positive).
     """
     vmask = g.vmask
     measured = list(order)
@@ -187,13 +188,9 @@ def _patterns_for_base(
         for combo in sorted(combos):
             yield build(combo)
         og = OpenGraph.make(g, inputs, vmask & ~mask_of(measured), labels)
-        cert = find_extended_pauli_flow(og)
+        cert = _extended_flow_on_chain(og, measured)
         if cert is not None:
-            pat = induced_pattern(
-                og, cert.p_map(), cert.order, cert.order.canonical_extension(), angle_of
-            )
-            if pat.measurement_order() == list(measured):
-                yield pat
+            yield induced_pattern(og, cert.p_map(), cert.order, measured, angle_of)
 
 
 def pattern_corpus() -> Iterator[Pattern]:
@@ -201,8 +198,9 @@ def pattern_corpus() -> Iterator[Pattern]:
 
     Exhaustive over 2- and 3-qubit bases (all label assignments, all
     correction sets of at most two vertices per step) and a 4-qubit family
-    with all label assignments and sampled corrections plus the induced
-    sets of any extended flow.  Every yielded pattern is valid.
+    with all label assignments and sampled corrections plus the sets
+    induced by any extended flow on the base's step order.  Every yielded
+    pattern is valid.
     """
     e2 = Graph.make([0, 1], [(0, 1)])
     d2 = Graph.make([0, 1], [])

@@ -14,7 +14,10 @@ Gflow adds its per-plane clauses.
 correction set on its own, with no backtracking: their constraints only
 weaken as the search advances (more vertices placed after ``u`` widen
 ``u``'s choices; a compensation that fits in a prefix of the order fits in
-every longer one).  ``find_extended_pauli_flow`` still backtracks.
+every longer one).  The same chooser finds an extended flow on a fixed
+chain, which is how the pattern corpus gets its flow-induced patterns.
+Only ``find_extended_pauli_flow``, which must try every total order, still
+backtracks.
 
 ``kappa_row`` evaluates the predicate against every candidate ``v`` at
 once with a handful of integer operations; the checker and the searches
@@ -144,6 +147,13 @@ class FlowCertificate:
             raise DomainError(f"unknown flow kind {self.kind!r}")
         if self.compensations and self.kind != "extended":
             raise DomainError(f"a {self.kind} certificate takes no compensation sets")
+        vmask = self.graph.vmask
+        for name, sets in (("p", self.p), ("D", self.compensations)):
+            for v, d in sets:
+                if v < 0 or not (vmask >> v) & 1:
+                    raise DomainError(f"{name} has a key outside the graph")
+                if d & ~vmask:
+                    raise DomainError(f"{name}({v}) names a vertex outside the graph")
         object.__setattr__(self, "p", tuple(sorted(self.p)))
         object.__setattr__(self, "compensations", tuple(sorted(self.compensations)))
         object.__setattr__(self, "_p", dict(self.p))
@@ -324,10 +334,7 @@ def find_pauli_flow(g: OpenGraph) -> FlowCertificate | None:
     """
     _check_vertex_bound(g, PAULI_FLOW_MAX_VERTICES)
     odd = {d: odd_neighborhood(g, d) for d in subsets(g.non_inputs)}
-    candidates = {
-        u: [(d, kappa_row(g, d, u, od)) for d, od in odd.items()]
-        for u in g.measured_vertices()
-    }
+    candidates = _candidate_rows(g, odd)
     chosen_d: dict[int, int] = {}
     chosen_row: dict[int, int] = {}
     placed = 0
@@ -390,7 +397,6 @@ def find_extended_pauli_flow(g: OpenGraph) -> FlowCertificate | None:
             if j < 0:
                 return True
             v = perm[j]
-            bv = 1 << v
             for d in all_d:
                 row_v = kappa_row(g, d, v, odd[d])
                 u_set = [u for u in perm[j + 1 :] if (rows[u] >> v) & 1]
@@ -415,9 +421,35 @@ def find_extended_pauli_flow(g: OpenGraph) -> FlowCertificate | None:
 
         if assign(len(perm) - 1):
             order = StrictPartialOrder.chain(perm)
-            cert = FlowCertificate.make("extended", g, chosen, order, comps)
-            return cert
+            return FlowCertificate.make("extended", g, chosen, order, comps)
     return None
+
+
+def _candidate_rows(g: OpenGraph, odd: Mapping[int, int]) -> dict[int, list[tuple[int, int]]]:
+    """Each measured ``u``'s ``(d, kappa_row)`` pairs, in the order of ``odd``'s
+    correction sets, without the sets that would make ``u`` correct itself.
+    The rows do not depend on the measurement order."""
+    cands = {}
+    for u in g.measured_vertices():
+        rows = ((d, kappa_row(g, d, u, od)) for d, od in odd.items())
+        cands[u] = [(d, row) for d, row in rows if not (row >> u) & 1]
+    return cands
+
+
+def _extended_flow_on_chain(g: OpenGraph, seq: Sequence[int]) -> FlowCertificate | None:
+    """An extended flow whose order is the chain ``seq`` of the measured
+    vertices, or None when the chain has none.
+
+    It returns what ``find_extended_pauli_flow`` returns when that search
+    succeeds on ``seq``: the backtracker tries each vertex's sets in the same
+    order, and :func:`_choose_corrections` takes the first admissible one.
+    """
+    odd = {d: odd_neighborhood(g, d) for d in subsets(g.non_inputs)}
+    chosen = _choose_corrections(g, seq, _candidate_rows(g, odd), odd)
+    if chosen is None:
+        return None
+    p, comps = chosen
+    return FlowCertificate.make("extended", g, p, StrictPartialOrder.chain(seq), comps)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from mbqc.corpus import (
     all_open_graphs,
     all_partial_orders,
     extended_flow_example,
+    label_assignments,
     random_open_graph,
     random_partial_order,
 )
@@ -42,6 +43,7 @@ from mbqc.errors import ResourceLimitError
 from mbqc.flows import (
     EXTENDED_FLOW_MAX_VERTICES,
     PAULI_FLOW_MAX_VERTICES,
+    _extended_flow_on_chain,
     certificate_violation,
     kappa_row,
 )
@@ -281,6 +283,19 @@ def test_compensations_only_on_extended_certificates():
         assert FlowCertificate.make(kind, EDGE_OG, {1: mask_of([2])}, order, {}).compensations == ()
 
 
+def test_certificate_ids_outside_the_graph_rejected():
+    og, cert = extended_flow_example()
+    p, comp = cert.p_map(), dict(cert.compensations)
+    for bad_p, bad_comp in (
+        (p, {**comp, 9: mask_of([4])}),  # a D key that is no vertex
+        (p, {0: 1 << 65535}),  # a D member far outside (its repr would raise)
+        ({**p, 0: mask_of([0, 9])}, comp),
+        ({**p, 9: 0}, comp),
+    ):
+        with pytest.raises(DomainError):
+            FlowCertificate.make("extended", og, bad_p, cert.order, bad_comp)
+
+
 def test_extended_flow_self_in_u_rejected():
     g = Graph.make([0, 1], [])
     og = OpenGraph.make(g, [], [1], {0: Label.XY})
@@ -409,6 +424,31 @@ def test_extended_and_plain_flow_existence_coincide():
         both += has_pf
         neither += not has_pf
     assert both > 0 and neither > 0
+
+
+def test_chain_search_is_the_backtrackers_first_order():
+    # The backtracker tries the ascending chain first, so the chain search
+    # on it returns the backtracker's certificate when that certificate has
+    # the ascending order, and None otherwise.  All open graphs of up to 3
+    # vertices, and the 432 open graphs of the pattern corpus's two 4-qubit
+    # bases.
+    p4 = Graph.make([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
+    s4 = Graph.make([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    sampled = [
+        OpenGraph.make(g, [], [out], labels)
+        for g, out in ((p4, 3), (s4, 0))
+        for labels in label_assignments([v for v in range(4) if v != out])
+    ]
+    assert len(sampled) == 432
+    found = 0
+    for og in [*all_open_graphs(3), *sampled]:
+        seq = og.measured_vertices()
+        cert = find_extended_pauli_flow(og)
+        if cert is None or cert.order != StrictPartialOrder.chain(seq):
+            cert = None
+        assert _extended_flow_on_chain(og, seq) == cert
+        found += cert is not None
+    assert found > 0
 
 
 def test_induced_pattern_worked_example():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -188,6 +189,18 @@ def test_roundtrip_on_corpus_sample():
         assert parse_pattern(serialize_pattern(pat)) == pat
 
 
+def test_pattern_corpus_is_pinned():
+    # The corpus feeds criteria 3, 4 and 9; a change to how it is built must
+    # leave every pattern and their order as they are.
+    digest = hashlib.sha256()
+    count = 0
+    for pat in pattern_corpus():
+        digest.update((serialize_pattern(pat) + "\n").encode())
+        count += 1
+    assert count == 12927
+    assert digest.hexdigest() == "1c7a13574add6ca6aa96ad07590b44fab56feec1dfab76120cfada39efac6240"
+
+
 def test_roundtrip_isolated_input():
     g = Graph.make([0, 1], [])
     pat = Pattern.make(g, [0, 1], [])
@@ -220,6 +233,9 @@ def test_angle_forms():
         Angle.variable("theta").to_float()
     assert Angle.PI.is_pauli_angle() and Angle.ZERO.is_pauli_angle()
     assert not Angle.of_pi("1/2").is_pauli_angle()
+    for mult, pauli in ((0, True), (1, True), (2, True), (3, True), (-1, True),
+                        ("1/2", False), ("3/2", False), ("7/4", False)):
+        assert Angle.of_pi(mult).is_pauli_angle() is pauli
     # Real angles within rounding of 0, pi or 2 pi are Pauli, and the
     # simulator measures them as 0 or pi.
     near = {math.pi * (1 - 1e-15): Angle.PI, math.pi * (1 + 1e-15): Angle.PI, 2 * math.pi - 1e-15: Angle.ZERO}
