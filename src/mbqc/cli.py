@@ -4,7 +4,8 @@ Exit codes: 0 when the queried property holds (or the command succeeded),
 1 when the property fails, 2 on malformed input, unusable arguments, or a
 resource bound.  Documents are UTF-8 JSON on stdout; rewrite traces go to
 stderr.  The environment variable MBQC_MAX_QUBITS overrides the simulator
-size bound.  OPENBLAS_NUM_THREADS defaults to 1: a second BLAS thread costs
+size bound: the most qubits ``check-determinism`` holds at once (its
+``live width`` line), and the qubit count of ``semantics``.  OPENBLAS_NUM_THREADS defaults to 1: a second BLAS thread costs
 CPU and saves no wall time on simulator-sized matrices.
 """
 
@@ -101,6 +102,7 @@ def cmd_check_determinism(args: argparse.Namespace) -> int:
     pat = _valid_pattern(args.pattern, numeric=True)
     report = is_robustly_deterministic(pat, tol=DEFAULT_TOL if args.tol is None else args.tol)
     print(f"robustly-deterministic: {'yes' if report.ok else 'no'}")
+    print(f"live width: {report.width}")
     for step in report.steps:
         eps = ", ".join(f"{e:.6g}" for e in step.epsilons)
         norms = ", ".join(f"{x:.6g}" for x in step.branch_norms)

@@ -30,8 +30,14 @@ class Axis(enum.Enum):
 class Label(enum.Enum):
     """Measurement label: a single Pauli axis or a plane of two axes.
 
-    Axis names are kept in the canonical X < Y < Z order.
+    Axis names are kept in the canonical X < Y < Z order.  ``axes``,
+    ``is_pauli`` and ``is_plane`` are set once per member: the simulator and
+    the flow finders read them in their inner loops.
     """
+
+    axes: tuple[Axis, ...]
+    is_pauli: bool
+    is_plane: bool
 
     X = "X"
     Y = "Y"
@@ -40,17 +46,10 @@ class Label(enum.Enum):
     XZ = "XZ"
     YZ = "YZ"
 
-    @property
-    def axes(self) -> tuple[Axis, ...]:
-        return tuple(Axis(c) for c in self.value)
-
-    @property
-    def is_pauli(self) -> bool:
-        return len(self.value) == 1
-
-    @property
-    def is_plane(self) -> bool:
-        return len(self.value) == 2
+    def __init__(self, value: str) -> None:
+        self.axes = tuple(Axis(c) for c in value)
+        self.is_pauli = len(value) == 1
+        self.is_plane = len(value) == 2
 
     def __len__(self) -> int:
         return len(self.value)

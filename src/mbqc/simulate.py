@@ -1,12 +1,14 @@
 """Exact dense-linear-algebra semantics for patterns.
 
-One kernel serves every caller: the resource state is prepared as an
-isometry (one column per input basis state) by index arithmetic, and each
-measurement step slices every branch once per vector of a reference
-eigenbasis and corrects both halves (``project``, ``apply_pauli``); the two
-outcome sides at any angle are then two axpys.  ``branch_map`` follows one
-side per step, ``semantics`` keeps both and stores the completely positive
-sum of the branches as a Choi matrix.  Robust determinism is decided by the
+One kernel serves every caller.  A register is an isometry (one column per
+input basis state) over the qubits prepared so far: it starts as the inputs
+with the CZs among them, and ``_add`` prepares a qubit in |+> with a CZ to
+each live neighbour only when a step first touches it.  Each measurement
+step slices every branch once per vector of a reference eigenbasis and
+corrects both halves (``project``, ``apply_pauli``); the two outcome sides
+at any angle are then two axpys.  ``branch_map`` follows one side per step,
+``semantics`` keeps both and stores the completely positive sum of the
+branches as a Choi matrix.  Robust determinism is decided by the
 definitional recursion: at every step the two outcome-conditioned channels
 must agree as linear maps.  While they do, the channel keeps one Kraus
 operator, and a step compares the two rank-one Choi matrices by the
@@ -20,7 +22,9 @@ The brute-force stabilizer search that criterion 7 checks
 ``enumerate_projected_stabilizers`` against lives in ``mbqc.oracles``.
 
 Qubit tensor ordering is the canonical numeric vertex order throughout,
-first qubit most significant.
+first qubit most significant.  ``MBQC_MAX_QUBITS`` bounds the live width
+of the oracle and of ``branch_map``, and the qubit count of ``semantics``
+(whose Choi matrix is D x D) and of ``graph_state``.
 
 Tolerances are the module constants below, not arguments, except the ``tol``
 of ``is_robustly_deterministic``, which the CLI's ``--tol`` sets.
@@ -28,6 +32,7 @@ of ``is_robustly_deterministic``, which the CLI's ``--tol`` sets.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from collections.abc import Callable, Mapping, Sequence
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import Angle, pauli_multiple
-from .bits import bit_list, subsets
+from .bits import bit_list, iter_bits, mask_of, subsets
 from .errors import (
     DomainError,
     InvariantViolationError,
@@ -56,6 +61,7 @@ PHASE_TOL = 1e-8
 _DEFAULT_MAX_QUBITS = 12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _Z_SIGNS = np.array([[1.0], [-1.0]])
+_PLUS_AXIS = np.full((1, 2, 1), _INV_SQRT2)
 
 #: Single-qubit eigenbases at angle 0: axis -> (plus, minus).
 _BASIS0: dict[Axis, tuple[np.ndarray, np.ndarray]] = {
@@ -71,6 +77,11 @@ _BASIS0: dict[Axis, tuple[np.ndarray, np.ndarray]] = {
         np.array([1, 0], dtype=complex),
         np.array([0, 1], dtype=complex),
     ),
+}
+
+#: Reference eigenbasis of each label: its axis, or the axis outside its plane.
+_REFERENCE: dict[Label, tuple[np.ndarray, np.ndarray]] = {
+    label: _BASIS0[label.axes[0] if label.is_pauli else label.complement] for label in Label
 }
 
 _PAULI_MATRICES: dict[Axis, np.ndarray] = {
@@ -94,10 +105,12 @@ def max_qubits() -> int:
     return bound
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int) -> int:
+    """The simulator bound, once ``n`` qubits are known to fit it."""
     bound = max_qubits()
     if n > bound:
         raise ResourceLimitError(f"{n} qubits exceeds the simulator bound {bound}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -146,13 +159,10 @@ class Superoperator:
 
 def _basis_vectors(label: Label, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Measurement basis at a numeric angle (no constraint checks)."""
+    p0, m0 = _REFERENCE[label]
     if label.is_pauli:
-        plus, minus = _BASIS0[label.axes[0]]
         # Angle pi measures the negated observable: outcomes swap.
-        if pauli_multiple(alpha) == 1:
-            return minus, plus
-        return plus, minus
-    p0, m0 = _BASIS0[label.complement]
+        return (m0, p0) if pauli_multiple(alpha) == 1 else (p0, m0)
     phase = complex(math.cos(alpha), math.sin(alpha))
     plus = (p0 + phase * m0) / math.sqrt(2)
     minus = (p0 - phase * m0) / math.sqrt(2)
@@ -192,37 +202,60 @@ def project(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Contract qubit ``q`` of a register with ``<bra|``; returns the rest.
 
-    The register is sliced as (2^position, 2, rest); a zero bra entry skips its term.
+    The register is sliced as (2^position, 2, rest); a zero bra entry skips
+    its term, and a lone entry of 1 returns the slice itself.
     """
     a = qubits.index(q)
     t = k.reshape((1 << a, 2, -1))
     c0, c1 = np.conj(bra).tolist()
     if not c1:
-        out = c0 * t[:, 0]
+        out = t[:, 0] if c0 == 1 else c0 * t[:, 0]
     elif not c0:
-        out = c1 * t[:, 1]
+        out = t[:, 1] if c1 == 1 else c1 * t[:, 1]
     else:
         out = c0 * t[:, 0] + c1 * t[:, 1]
     return out.reshape((-1,) + k.shape[1:]), qubits[:a] + qubits[a + 1 :]
 
 
-def _graph_state_vector(graph: Graph, inputs: int, columns: np.ndarray) -> np.ndarray:
-    """CZ over every edge on plus states, one output column per input column:
-    row r is the input row spelled by r's input bits, times 2^(-non-inputs/2)
-    and (-1)^(edges inside r)."""
-    verts = graph.vertices
-    n = len(verts)
-    _check_size(n)
-    bit = {v: n - 1 - a for a, v in enumerate(verts)}
-    idx = np.arange(1 << n)
-    row = np.zeros_like(idx)
-    for q in bit_list(inputs):
-        row = (row << 1) | ((idx >> bit[q]) & 1)
-    parity = np.zeros_like(idx)
-    for u, v in graph.edges:
-        parity ^= (idx >> bit[u]) & (idx >> bit[v])
-    scale = 2.0 ** (-(n - inputs.bit_count()) / 2.0)
-    return columns[row] * (scale * (1.0 - 2.0 * (parity & 1)))[:, None]
+def _cz(k: np.ndarray, qubits: tuple[int, ...], u: int, v: int) -> None:
+    """CZ on qubits u and v of a C-contiguous register, in place."""
+    a, b = qubits.index(u), qubits.index(v)
+    if a > b:
+        a, b = b, a
+    t = k.reshape((1 << a, 2, 1 << (b - a - 1), 2, -1))
+    t[:, 1, :, 1] *= -1
+
+
+def _inputs(graph: Graph, inputs: int, columns: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The input register: a copy of ``columns`` (one row per input basis
+    state) with the CZs among the inputs applied."""
+    qubits = tuple(bit_list(inputs))
+    k = np.array(columns, dtype=complex)
+    for u in qubits:
+        for v in bit_list(graph.adj[u] & inputs & ~((2 << u) - 1)):
+            _cz(k, qubits, u, v)
+    return k, qubits
+
+
+def _add(
+    k: np.ndarray, qubits: tuple[int, ...], new: int, adj: Mapping[int, int], bound: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Prepare each qubit of ``new`` in |+> at its sorted position, with a CZ
+    to each live neighbour; the live width may not pass ``bound``."""
+    if not new:
+        return k, qubits
+    live = mask_of(qubits)
+    tail = k.shape[1:]
+    for q in iter_bits(new):
+        if len(qubits) >= bound:
+            raise ResourceLimitError(f"live width {len(qubits) + 1} exceeds the simulator bound {bound}")
+        a = bisect.bisect(qubits, q)
+        k = (k.reshape((1 << a, 1, -1)) * _PLUS_AXIS).reshape((-1,) + tail)
+        qubits = qubits[:a] + (q,) + qubits[a:]
+        for w in iter_bits(adj[q] & live):
+            _cz(k, qubits, q, w)
+        live |= 1 << q
+    return k, qubits
 
 
 def graph_state(g: OpenGraph | Graph, input_state: np.ndarray | None = None) -> QuantumState:
@@ -243,8 +276,10 @@ def graph_state(g: OpenGraph | Graph, input_state: np.ndarray | None = None) -> 
     state = np.asarray(input_state, dtype=complex).reshape(-1)
     if state.shape != (1 << inputs.bit_count(),):
         raise DomainError("input state dimension does not match the input set")
-    vector = _graph_state_vector(graph, inputs, state[:, None])[:, 0]
-    return QuantumState(tuple(graph.vertices), vector)
+    bound = _check_size(len(graph.vertices))
+    k, qubits = _inputs(graph, inputs, state[:, None])
+    k, qubits = _add(k, qubits, graph.vmask & ~inputs, graph.adj, bound)
+    return QuantumState(qubits, k[:, 0])
 
 
 def _measure(
@@ -259,7 +294,7 @@ def _measure(
     basis (e0 +/- e^{i angle} e1) / sqrt(2) makes them two axpys.
     """
     label = step.label
-    e0, e1 = _BASIS0[label.axes[0] if label.is_pauli else label.complement]
+    e0, e1 = _REFERENCE[label]
     k0, rest = project(k, qubits, step.qubit, e0)
     k1, _ = project(k, qubits, step.qubit, e1)
     c0 = apply_pauli(k0, rest, step.x_corr, step.z_corr)
@@ -274,21 +309,45 @@ def _measure(
     return sides, rest
 
 
-def _prepare(pat: Pattern) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The preparation isometry as the initial register."""
+def _schedule(pat: Pattern, bound: int) -> tuple[np.ndarray, tuple[int, ...], list[int]]:
+    """The input register and the qubits to prepare before each step, then
+    the leftover outputs.
+
+    A step prepares the unprepared qubits it touches: the measured qubit and
+    its neighbours (a projection must follow every CZ of its qubit), its X
+    and Z targets, and the neighbours of its X targets (an X does not commute
+    with a pending CZ; a Z does).  The full register is then W (k ⊗ |+…+>),
+    with W the product of the pending CZs: a unitary that commutes with every
+    projection and correction so far, so every distance and norm is the
+    dense one.
+    """
     require_valid(pat)
-    _check_size(pat.total_qubits())
-    eye = np.eye(1 << pat.inputs.bit_count(), dtype=complex)
-    return _graph_state_vector(pat.graph, pat.inputs, eye), tuple(pat.graph.vertices)
+    width = pat.inputs.bit_count()
+    if width > bound:
+        raise ResourceLimitError(f"live width {width} exceeds the simulator bound {bound}")
+    adj = pat.graph.adj
+    prepared = pat.inputs
+    adds = []
+    for s in pat.steps:
+        touched = (1 << s.qubit) | adj[s.qubit] | s.x_corr | s.z_corr
+        for t in bit_list(s.x_corr):
+            touched |= adj[t]
+        adds.append(touched & ~prepared)
+        prepared |= touched
+    adds.append(pat.graph.vmask & ~prepared)
+    k, qubits = _inputs(pat.graph, pat.inputs, np.eye(1 << width, dtype=complex))
+    return k, qubits, adds
 
 
 def branch_map(pat: Pattern, m: OutcomeAssignment) -> BranchMap:
     """The linear map of one outcome branch; corrections fire on outcome 1."""
-    k, qubits = _prepare(pat)
+    bound = max_qubits()
+    k, qubits, adds = _schedule(pat, bound)
     target = outcome_mask(pat, m)
-    for step in pat.steps:
-        sides, qubits = _measure(k, qubits, step)
+    for step, new in zip(pat.steps, adds):
+        sides, qubits = _measure(*_add(k, qubits, new, pat.graph.adj, bound), step)
         k = sides(step.angle.to_float())[(target >> step.qubit) & 1]
+    k, qubits = _add(k, qubits, adds[-1], pat.graph.adj, bound)
     outcomes = tuple((s.qubit, (target >> s.qubit) & 1) for s in pat.steps)
     return BranchMap(k, outcomes, tuple(bit_list(pat.inputs)), qubits)
 
@@ -300,15 +359,17 @@ def _choi(kraus: Sequence[np.ndarray]) -> np.ndarray:
 
 def semantics(pat: Pattern) -> Superoperator:
     """Superoperator semantics: the CP sum of all outcome branches."""
-    k, qubits = _prepare(pat)
+    bound = _check_size(pat.total_qubits())
+    k, qubits, adds = _schedule(pat, bound)
     branches = [k]
-    for step in pat.steps:
+    for step, new in zip(pat.steps, adds):
         angle = step.angle.to_float()
-        measured = [_measure(k, qubits, step) for k in branches]
+        measured = [_measure(*_add(k, qubits, new, pat.graph.adj, bound), step) for k in branches]
         branches = [side for sides, _ in measured for side in sides(angle)]
         qubits = measured[0][1]
-    kraus = tuple(branches)
-    return Superoperator(_choi(kraus), tuple(bit_list(pat.inputs)), qubits, kraus)
+    grown = [_add(k, qubits, adds[-1], pat.graph.adj, bound) for k in branches]
+    kraus = tuple(k for k, _ in grown)
+    return Superoperator(_choi(kraus), tuple(bit_list(pat.inputs)), grown[0][1], kraus)
 
 
 def superoperator_equal(s1: Superoperator, s2: Superoperator) -> bool:
@@ -343,9 +404,12 @@ class StepDiagnostic:
 
 @dataclass(frozen=True)
 class RobustDeterminismReport:
+    """``width`` is the most qubits the oracle held at once, inputs included."""
+
     ok: bool
     tol: float
     steps: tuple[StepDiagnostic, ...]
+    width: int
 
     def __bool__(self) -> bool:
         return self.ok
@@ -371,9 +435,10 @@ def _rank_one_distance(a: np.ndarray, b: np.ndarray) -> float:
     overlap = complex(np.vdot(b, a))
     if overlap != 0:
         b = b * (overlap / abs(overlap))
-    s, d = a + b, a - b
-    gap = np.vdot(a, a).real - np.vdot(b, b).real
-    return math.sqrt(0.5 * (np.vdot(s, s).real * np.vdot(d, d).real + gap**2))
+    d = a - b
+    aa, bb, dd = np.vdot(a, a).real, np.vdot(b, b).real, np.vdot(d, d).real
+    ss = 2.0 * (aa + bb) - dd  # <s, s> by the parallelogram law
+    return math.sqrt(0.5 * (ss * dd + (aa - bb) ** 2))
 
 
 def is_robustly_deterministic(
@@ -397,13 +462,21 @@ def is_robustly_deterministic(
     vec(a)vec(a)^dagger - vec(b)vec(b)^dagger, never below its max-entry
     norm, and no D x D matrix is formed.  ``branch_norms`` has one entry,
     the norm of k.
+
+    Each qubit is prepared just before the first step that touches it (see
+    ``_schedule``), so the register holds the live qubits only, and
+    ``MBQC_MAX_QUBITS`` bounds their number, the report's ``width``.
     """
-    k, qubits = _prepare(pat)
+    bound = max_qubits()
+    k, qubits, adds = _schedule(pat, bound)
+    width = len(qubits)
     offsets = tuple(epsilon_offsets) if epsilon_offsets is not None else _PLANE_OFFSETS
     diagnostics: list[StepDiagnostic] = []
     for i, step in enumerate(pat.steps):
         alpha = step.angle.to_float()
         eps = tuple(alpha + o for o in offsets) if step.label.is_plane else (alpha,)
+        k, qubits = _add(k, qubits, adds[i], pat.graph.adj, bound)
+        width = max(width, len(qubits))
         sides, rest = _measure(k, qubits, step)
         worst = 0.0
         taken = None
@@ -412,15 +485,15 @@ def is_robustly_deterministic(
             worst = max(worst, _rank_one_distance(a, b))
             if angle == alpha:
                 taken = a
-        norms = (float(np.linalg.norm(k)),)
+        norms = (math.sqrt(np.vdot(k, k).real),)
         ok = worst <= tol
         diagnostics.append(StepDiagnostic(i, step.qubit, step.label, eps, worst, norms, ok))
         if not ok:
-            return RobustDeterminismReport(False, tol, tuple(diagnostics))
+            return RobustDeterminismReport(False, tol, tuple(diagnostics), width)
         if taken is None:
             taken = sides(alpha)[0]
         k, qubits = math.sqrt(2.0) * taken, rest
-    return RobustDeterminismReport(True, tol, tuple(diagnostics))
+    return RobustDeterminismReport(True, tol, tuple(diagnostics), width)
 
 
 # ---------------------------------------------------------------------------

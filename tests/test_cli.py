@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -19,9 +20,10 @@ from mbqc.documents import (
     pattern_from_json,
     pattern_to_json,
 )
-from mbqc.flows import FlowCertificate, StrictPartialOrder, find_pauli_flow
+from mbqc.flows import FlowCertificate, StrictPartialOrder, find_pauli_flow, induced_pattern
 from mbqc.graphs import Graph, Label, OpenGraph
 from mbqc.notation import parse_pattern
+from mbqc.patterns import MeasurementStep, Pattern
 
 THETA = {"θ": Angle.of_real(0.613)}
 SRC_A = "Z_3^{s2} M_2^Z Z_2^{s1} M_1^{YZ,θ} E_{1,2} E_{2,3} N_1 N_2 N_3"
@@ -172,6 +174,51 @@ def test_check_determinism_empty_pattern(tmp_path, capsys):
     pat = parse_pattern("E_{1,2} N_1 N_2")
     ppath = _write(tmp_path, "p.json", pattern_to_json(pat))
     assert main(["check-determinism", ppath]) == 0
+
+
+def _chain(n, drop=False):
+    """The pattern a flow p(u) = {u+1} induces on the path 0-...-(n-1), all
+    XY; ``drop`` removes the X correction of its middle step."""
+    labels = {u: Label.XY for u in range(n - 1)}
+    og = OpenGraph.make(Graph.make(range(n), [(v, v + 1) for v in range(n - 1)]), [0], [n - 1], labels)
+    total = list(range(n - 1))
+    angles = {u: Angle.of_real(0.4 + 0.3 * u) for u in total}
+    pat = induced_pattern(og, {u: 1 << (u + 1) for u in total}, StrictPartialOrder.chain(total), total, angles)
+    if drop:
+        steps = list(pat.steps)
+        steps[n // 2] = dataclasses.replace(steps[n // 2], x_corr=0)
+        pat = Pattern(pat.graph, pat.inputs, tuple(steps))
+    return pat
+
+
+def _star_centre_first(leaves):
+    star = Graph.make(range(leaves + 1), [(0, v) for v in range(1, leaves + 1)])
+    return Pattern.make(star, [], [MeasurementStep(v, Label.XY, Angle.ZERO) for v in range(leaves + 1)])
+
+
+@pytest.mark.parametrize(
+    "pattern, bound, code, width",
+    [
+        # The default bound of 12 is a bound on the qubits held at once.
+        (_chain(40), None, 0, 3),
+        (_chain(40, drop=True), None, 1, 3),
+        # Measuring the centre first needs all 13 qubits at once.
+        (_star_centre_first(12), None, 2, None),
+        (_chain(5), "2", 2, None),
+    ],
+)
+def test_check_determinism_live_width(tmp_path, monkeypatch, capsys, pattern, bound, code, width):
+    if bound is None:
+        monkeypatch.delenv("MBQC_MAX_QUBITS", raising=False)
+    else:
+        monkeypatch.setenv("MBQC_MAX_QUBITS", bound)
+    ppath = _write(tmp_path, "p.json", pattern_to_json(pattern))
+    assert main(["check-determinism", ppath]) == code
+    captured = capsys.readouterr()
+    if width is None:
+        assert captured.out == "" and "live width" in captured.err
+    else:
+        assert captured.out.splitlines()[1] == f"live width: {width}"
 
 
 def test_check_determinism_symbolic_angle_rejected(tmp_path):

@@ -306,10 +306,39 @@ def _chain(n, drop=False):
     return pat
 
 
+def _ladder(n, drop=False):
+    """Flow-induced two-row ladder, vertex 2c+r at column c and row r, with a
+    rung at every other column, inputs 0 and 1 and the last column as
+    outputs; p(u) = {u+2}.  ``drop`` removes the X correction of the middle
+    step."""
+    edges = [(v, v + 2) for v in range(n - 2)] + [(c, c + 1) for c in range(0, n, 4)]
+    measured = range(n - 2)
+    labels = {u: (Label.XY, Label.XY, Label.X, Label.XY, Label.Y)[u % 5] for u in measured}
+    og = OpenGraph.make(Graph.make(range(n), edges), [0, 1], [n - 2, n - 1], labels)
+    angles = {
+        u: Angle.of_real(0.2 + 0.9 * u) if label.is_plane else (Angle.PI if u % 7 == 2 else Angle.ZERO)
+        for u, label in labels.items()
+    }
+    total = list(measured)
+    pat = induced_pattern(og, {u: 1 << (u + 2) for u in total}, StrictPartialOrder.chain(total), total, angles)
+    if drop:
+        mid = (n - 2) // 2
+        mid -= labels[mid].is_pauli  # keep the dropped correction on a plane step
+        steps = list(pat.steps)
+        steps[mid] = dataclasses.replace(steps[mid], x_corr=0)
+        pat = Pattern(pat.graph, pat.inputs, tuple(steps))
+    return pat
+
+
 def test_rd_matches_dense_reference():
     # The rank-one oracle keeps the reference's verdicts and failing steps;
     # its Frobenius distance is never below the reference's max-entry one.
-    cases = list(pattern_corpus())[::10] + [_chain(7), _chain(7, drop=True)]
+    # The flow-induced chains and ladder of up to 11 qubits, and their twins
+    # one correction short, are the widest patterns the dense reference fits.
+    flows = [_chain(7), _chain(9), _chain(10), _chain(11), _ladder(10)]
+    twins = [_chain(7, drop=True), _chain(9, drop=True), _chain(10, drop=True), _chain(11, drop=True)]
+    twins.append(_ladder(10, drop=True))
+    cases = list(pattern_corpus())[::10] + flows + twins
     failing = 0
     for pat in cases:
         report = is_robustly_deterministic(pat)
@@ -321,8 +350,45 @@ def test_rd_matches_dense_reference():
             if step.ok:
                 assert step.choi_distance <= 1e-12
         failing += not report.ok
-    assert is_robustly_deterministic(cases[-2]) and not is_robustly_deterministic(cases[-1])
+    assert all(is_robustly_deterministic(pat) for pat in flows)
+    assert not any(is_robustly_deterministic(pat) for pat in twins)
     assert len(cases) > 1000 and 0 < failing < len(cases)
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_rd_streams_wide_flow_induced_patterns(monkeypatch, n):
+    # Each qubit is prepared just before the first step that touches it, so
+    # a chain holds 3 qubits at once and a two-row ladder 5, however long.
+    monkeypatch.delenv("MBQC_MAX_QUBITS", raising=False)
+    for build, width in ((_chain, 3), (_ladder, 5)):
+        good, bad = build(n), build(n, drop=True)
+        report = is_robustly_deterministic(good)
+        assert report.ok and len(report.steps) == len(good.steps) and report.width == width
+        twin = is_robustly_deterministic(bad)
+        dropped = next(i for i, (s, t) in enumerate(zip(good.steps, bad.steps)) if s != t)
+        assert not twin.ok and twin.failing_step.index == dropped and twin.width == width
+    # branch_map streams too: every branch of a deterministic pattern is
+    # 2^(-steps/2) times an isometry.
+    pat = _chain(n)
+    k = branch_map(pat, {s.qubit: s.qubit % 2 for s in pat.steps}).matrix
+    assert k.shape == (2, 2)
+    assert np.allclose(k.conj().T @ k * 2.0 ** len(pat.steps), np.eye(2), atol=1e-9)
+
+
+def test_rd_live_width_bound(monkeypatch):
+    # MBQC_MAX_QUBITS bounds the qubits held at once: a star measured centre
+    # first needs all of them, the same star measured leaves first only two.
+    star = Graph.make(range(6), [(0, v) for v in range(1, 6)])
+    centre_first = Pattern.make(star, [], [MeasurementStep(v, Label.XY, Angle.ZERO) for v in range(6)])
+    leaves_first = Pattern.make(star, [], [MeasurementStep(v, Label.Z, Angle.ZERO) for v in range(5, 0, -1)])
+    monkeypatch.setenv("MBQC_MAX_QUBITS", "5")
+    with pytest.raises(ResourceLimitError, match="live width 6"):
+        is_robustly_deterministic(centre_first)
+    with pytest.raises(ResourceLimitError, match="live width 6"):
+        branch_map(centre_first, {v: 0 for v in range(6)})
+    assert is_robustly_deterministic(leaves_first).width == 2
+    monkeypatch.setenv("MBQC_MAX_QUBITS", "6")
+    assert is_robustly_deterministic(centre_first).width == 6
 
 
 @pytest.mark.parametrize("n", [9, 12])
