@@ -5,8 +5,9 @@ Exit codes: 0 when the queried property holds (or the command succeeded),
 resource bound.  Documents are UTF-8 JSON on stdout; rewrite traces go to
 stderr.  The environment variable MBQC_MAX_QUBITS overrides the simulator
 size bound: the most qubits ``check-determinism`` holds at once (its
-``live width`` line), and the qubit count of ``semantics``.  OPENBLAS_NUM_THREADS defaults to 1: a second BLAS thread costs
-CPU and saves no wall time on simulator-sized matrices.
+``live width`` line), and the qubit count of ``semantics``.
+OPENBLAS_NUM_THREADS defaults to 1: a second BLAS thread costs CPU and
+saves no wall time on simulator-sized matrices.
 """
 
 from __future__ import annotations

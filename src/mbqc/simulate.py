@@ -461,11 +461,8 @@ def is_robustly_deterministic(
     k is sqrt(2) a.  A step's distance is the Frobenius norm of
     vec(a)vec(a)^dagger - vec(b)vec(b)^dagger, never below its max-entry
     norm, and no D x D matrix is formed.  ``branch_norms`` has one entry,
-    the norm of k.
-
-    Each qubit is prepared just before the first step that touches it (see
-    ``_schedule``), so the register holds the live qubits only, and
-    ``MBQC_MAX_QUBITS`` bounds their number, the report's ``width``.
+    the norm of k.  The register holds the live qubits only (``_schedule``),
+    and ``MBQC_MAX_QUBITS`` bounds their number, the report's ``width``.
     """
     bound = max_qubits()
     k, qubits, adds = _schedule(pat, bound)
