@@ -126,12 +126,10 @@ def cmd_push_pauli(args: argparse.Namespace) -> int:
 
     pat = _valid_pattern(args.pattern)
     if args.strategy == "first":
+        out, trace = normalize_with_trace(pat)
         if args.emit_trace:
-            out, trace = normalize_with_trace(pat)
             for line in trace.lines():
                 print(line, file=sys.stderr)
-        else:
-            out = normalize_pauli_first(pat, "first")
         sys.stdout.write(dump_json(pattern_to_json(out)))
         return 0
     forms = normalize_pauli_first(pat, "all")

@@ -21,8 +21,10 @@ backtracks.
 
 ``kappa_row`` evaluates the predicate against every candidate ``v`` at
 once with a handful of integer operations; the checker and the searches
-all read it a row at a time.  The checker calls none of the searches'
-compensation or choice code, so it judges their certificates on its own.
+all read it a row at a time.  ``_Candidates`` is the one place that
+enumerates correction sets: every search takes its candidate rows and
+compensation sets from it.  The checker calls none of it, nor the choice
+code, so it judges the searches' certificates on its own.
 Criterion 1 checks its rule against the per-axis reformulation of the
 flow condition in ``mbqc.oracles``.
 """
@@ -322,6 +324,51 @@ def _check_vertex_bound(g: OpenGraph, bound: int) -> None:
         raise ResourceLimitError(f"graph has {len(g.graph.vertices)} vertices; bound is {bound}")
 
 
+class _Candidates:
+    """The one place that enumerates correction sets, built once per open graph.
+
+    ``odd`` holds the odd neighborhood of every set of non-inputs, in
+    canonical :func:`subsets` order.  Every search takes its candidate rows
+    from :meth:`rows` and its compensation sets from :meth:`compensation`.
+    """
+
+    def __init__(self, g: OpenGraph) -> None:
+        self.g = g
+        self.odd = {d: odd_neighborhood(g, d) for d in subsets(g.non_inputs)}
+        self._comps: dict[tuple[int, int], int | None] = {}
+
+    def rows(self, u: int, future: int = 0, x: int = 0, z: int = 0) -> list[tuple[int, int]]:
+        """``u``'s ``(d, kappa_row)`` pairs over the sets ``d`` of non-inputs
+        with ``d & future == x`` and ``Odd(d) & future == z``, in canonical
+        order, without the sets that would make ``u`` correct itself; ``x``
+        must lie within ``future``'s non-inputs.  The rows do not depend on
+        the measurement order."""
+        out = []
+        for extra in subsets(self.g.non_inputs & ~future):
+            d = x | extra
+            od = self.odd[d]
+            if od & future == z:
+                row = kappa_row(self.g, d, u, od)
+                if not (row >> u) & 1:
+                    out.append((d, row))
+        return out
+
+    def compensation(self, v: int, allowed: int) -> int | None:
+        """The first set D of non-inputs whose union with its odd neighborhood
+        holds ``v``, lies within the measured vertices of ``allowed`` and holds
+        no D-corrector of ``v``, or None.  Memoized: it depends on nothing else."""
+        key = v, allowed
+        if key not in self._comps:
+            inside = allowed & self.g.measured
+            self._comps[key] = None
+            for d, od in self.odd.items():
+                union = d | od
+                if (union >> v) & 1 and not union & ~inside and not kappa_row(self.g, d, v, od) & union:
+                    self._comps[key] = d
+                    break
+        return self._comps[key]
+
+
 def find_pauli_flow(g: OpenGraph) -> FlowCertificate | None:
     """A Pauli flow found by layer peeling, with the reachability order of its
     corrector graph; None when the graph has none.
@@ -333,8 +380,8 @@ def find_pauli_flow(g: OpenGraph) -> FlowCertificate | None:
     round that places nothing proves that no flow exists.
     """
     _check_vertex_bound(g, PAULI_FLOW_MAX_VERTICES)
-    odd = {d: odd_neighborhood(g, d) for d in subsets(g.non_inputs)}
-    candidates = _candidate_rows(g, odd)
+    seam = _Candidates(g)
+    candidates = {u: seam.rows(u) for u in g.measured_vertices()}
     chosen_d: dict[int, int] = {}
     chosen_row: dict[int, int] = {}
     placed = 0
@@ -363,27 +410,18 @@ def find_extended_pauli_flow(g: OpenGraph) -> FlowCertificate | None:
     Orders are enumerated lexicographically; corrections are assigned from
     the last measured vertex backwards so each vertex's constraint can be
     checked (and its compensation found) as soon as its correction set is
-    chosen.  No polynomial algorithm is known, hence the small bound.
+    chosen.  The bound is small because the search walks up to n! orders
+    before it can answer that there is no flow.
     """
     _check_vertex_bound(g, EXTENDED_FLOW_MAX_VERTICES)
     measured = g.measured_vertices()
     if not measured:
         return FlowCertificate.make("extended", g, {}, StrictPartialOrder.make(0, ()))
 
-    odd = {d: odd_neighborhood(g, d) for d in subsets(g.non_inputs)}
-    all_d = list(odd)
-    # The compensation search depends only on the vertex and the mask of
-    # vertices measured early enough; memoized across orders.
-    comp_cache: dict[tuple[int, int], int | None] = {}
-
-    def compensation(v: int, allowed: int) -> int | None:
-        key = (v, allowed)
-        if key not in comp_cache:
-            comp_cache[key] = _find_compensation_rel(g, odd, v, allowed)
-        return comp_cache[key]
-
+    seam = _Candidates(g)
+    cands = {v: seam.rows(v) for v in measured}
+    n = len(measured)
     for perm in permutations(measured):
-        pos = {v: i for i, v in enumerate(perm)}
         prefix_masks = []
         acc = 0
         for v in perm:
@@ -394,46 +432,33 @@ def find_extended_pauli_flow(g: OpenGraph) -> FlowCertificate | None:
         comps: dict[int, int] = {}
 
         def assign(j: int) -> bool:
+            # Nothing is undone on the way back: what a failed branch left
+            # for a vertex is overwritten when the search returns to it.
             if j < 0:
                 return True
             v = perm[j]
-            for d in all_d:
-                row_v = kappa_row(g, d, v, odd[d])
-                u_set = [u for u in perm[j + 1 :] if (rows[u] >> v) & 1]
-                if (row_v >> v) & 1:
-                    u_set.append(v)
-                if u_set:
-                    if not g.label(v).is_plane or v in u_set:
-                        continue
-                    comp = compensation(v, prefix_masks[min(pos[u] for u in u_set)])
+            for d, row_v in cands[v]:
+                # The earliest later vertex that v would correct from the past.
+                first = next((i for i in range(j + 1, n) if (rows[perm[i]] >> v) & 1), None)
+                if first is None:
+                    comps.pop(v, None)
+                elif not g.label(v).is_plane:
+                    continue
+                else:
+                    comp = seam.compensation(v, prefix_masks[first])
                     if comp is None:
                         continue
                     comps[v] = comp
-                elif v in comps:
-                    del comps[v]
                 chosen[v] = d
                 rows[v] = row_v
                 if assign(j - 1):
                     return True
-                del chosen[v], rows[v]
-                comps.pop(v, None)
             return False
 
-        if assign(len(perm) - 1):
+        if assign(n - 1):
             order = StrictPartialOrder.chain(perm)
             return FlowCertificate.make("extended", g, chosen, order, comps)
     return None
-
-
-def _candidate_rows(g: OpenGraph, odd: Mapping[int, int]) -> dict[int, list[tuple[int, int]]]:
-    """Each measured ``u``'s ``(d, kappa_row)`` pairs, in the order of ``odd``'s
-    correction sets, without the sets that would make ``u`` correct itself.
-    The rows do not depend on the measurement order."""
-    cands = {}
-    for u in g.measured_vertices():
-        rows = ((d, kappa_row(g, d, u, od)) for d, od in odd.items())
-        cands[u] = [(d, row) for d, row in rows if not (row >> u) & 1]
-    return cands
 
 
 def _extended_flow_on_chain(g: OpenGraph, seq: Sequence[int]) -> FlowCertificate | None:
@@ -444,8 +469,8 @@ def _extended_flow_on_chain(g: OpenGraph, seq: Sequence[int]) -> FlowCertificate
     succeeds on ``seq``: the backtracker tries each vertex's sets in the same
     order, and :func:`_choose_corrections` takes the first admissible one.
     """
-    odd = {d: odd_neighborhood(g, d) for d in subsets(g.non_inputs)}
-    chosen = _choose_corrections(g, seq, _candidate_rows(g, odd), odd)
+    seam = _Candidates(g)
+    chosen = _choose_corrections(seam, seq, {u: seam.rows(u) for u in seq})
     if chosen is None:
         return None
     p, comps = chosen
@@ -549,9 +574,7 @@ def find_inducing_certificate(pat: Pattern, kind: str = "extended") -> FlowCerti
     if kind == "gflow" and any(g.label(v).is_pauli for v in seq):
         return None
 
-    order = StrictPartialOrder.chain(seq)
-    odd = {d: odd_neighborhood(g, d) for d in subsets(g.non_inputs)}
-
+    seam = _Candidates(g)
     cands: dict[int, list[tuple[int, int]]] = {}
     for s in pat.steps:
         u = s.qubit
@@ -560,37 +583,25 @@ def find_inducing_certificate(pat: Pattern, kind: str = "extended") -> FlowCerti
         # reach an input through Odd(p(u)).
         if s.x_corr & ~(fut & g.non_inputs) or s.z_corr & ~fut:
             return None
-        free = g.non_inputs & g.measured & ~fut
-        # No kind lets u correct itself; the plain kinds allow no past corrector.
-        barred = 1 << u if kind == "extended" else ~order.after(u)
-        opts = []
-        for extra in subsets(free):
-            d = s.x_corr | extra
-            od = odd[d]
-            if od & fut != s.z_corr:
-                continue
-            row = kappa_row(g, d, u, od)
-            if row & barred:
-                continue
-            if kind == "gflow" and not _plane_clause_holds(g, u, d, od):
-                continue
-            opts.append((d, row))
-        if not opts:
+        # The plain kinds allow no past corrector.
+        barred = 0 if kind == "extended" else ~fut
+        cands[u] = [
+            (d, row)
+            for d, row in seam.rows(u, fut, s.x_corr, s.z_corr)
+            if not row & barred and (kind != "gflow" or _plane_clause_holds(g, u, d, seam.odd[d]))
+        ]
+        if not cands[u]:
             return None
-        cands[u] = opts
 
-    chosen = _choose_corrections(g, seq, cands, odd)
+    chosen = _choose_corrections(seam, seq, cands)
     if chosen is None:
         return None
     p, comps = chosen
-    return FlowCertificate.make(kind, g, p, order, comps)
+    return FlowCertificate.make(kind, g, p, StrictPartialOrder.chain(seq), comps)
 
 
 def _choose_corrections(
-    g: OpenGraph,
-    seq: Sequence[int],
-    cands: Mapping[int, Sequence[tuple[int, int]]],
-    odd: Mapping[int, int],
+    seam: _Candidates, seq: Sequence[int], cands: Mapping[int, Sequence[tuple[int, int]]]
 ) -> tuple[dict[int, int], dict[int, int]] | None:
     """Correction and compensation sets for the measurement chain ``seq``.
 
@@ -604,14 +615,7 @@ def _choose_corrections(
     prefix of the earliest ``u`` that needs ``v``.  Returns ``(p, D)``, or
     None when some vertex has no admissible candidate.
     """
-    planes = mask_of(v for v in seq if g.label(v).is_plane)
-    cache: dict[tuple[int, int], int | None] = {}
-
-    def compensation(v: int, prefix: int) -> int | None:
-        if (v, prefix) not in cache:
-            cache[v, prefix] = _find_compensation_rel(g, odd, v, prefix)
-        return cache[v, prefix]
-
+    planes = mask_of(v for v in seq if seam.g.label(v).is_plane)
     p: dict[int, int] = {}
     comps: dict[int, int] = {}
     before = 0
@@ -620,29 +624,13 @@ def _choose_corrections(
         for d, row in cands[u]:
             past = row & before
             if not past & ~planes and all(
-                compensation(v, prefix) is not None for v in iter_bits(past)
+                seam.compensation(v, prefix) is not None for v in iter_bits(past)
             ):
                 break
         else:
             return None
         p[u] = d
         for v in iter_bits(past):
-            comps.setdefault(v, compensation(v, prefix))
+            comps.setdefault(v, seam.compensation(v, prefix))
         before = prefix
     return p, comps
-
-
-def _find_compensation_rel(
-    g: OpenGraph, odd: Mapping[int, int], v: int, allowed: int
-) -> int | None:
-    bv = 1 << v
-    for d, od in odd.items():
-        union = d | od
-        if not union & bv:
-            continue
-        if union & ~g.measured or union & ~allowed:
-            continue
-        if kappa_row(g, d, v, od) & union:
-            continue
-        return d
-    return None

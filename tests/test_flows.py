@@ -30,6 +30,7 @@ from mbqc import (
     serialize_pattern,
     validate,
 )
+from mbqc.angles import default_angle
 from mbqc.bits import bit_list, subsets
 from mbqc.corpus import (
     all_open_graphs,
@@ -429,9 +430,11 @@ def test_extended_and_plain_flow_existence_coincide():
 def test_chain_search_is_the_backtrackers_first_order():
     # The backtracker tries the ascending chain first, so the chain search
     # on it returns the backtracker's certificate when that certificate has
-    # the ascending order, and None otherwise.  All open graphs of up to 3
-    # vertices, and the 432 open graphs of the pattern corpus's two 4-qubit
-    # bases.
+    # the ascending order, and None otherwise.  The inducing search, which
+    # reads the same candidates constrained by each step's targets, returns
+    # that certificate again for the pattern it induces.  All open graphs of
+    # up to 3 vertices, and the 432 open graphs of the pattern corpus's two
+    # 4-qubit bases.
     p4 = Graph.make([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
     s4 = Graph.make([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
     sampled = [
@@ -440,15 +443,20 @@ def test_chain_search_is_the_backtrackers_first_order():
         for labels in label_assignments([v for v in range(4) if v != out])
     ]
     assert len(sampled) == 432
-    found = 0
+    found = compensated = 0
     for og in [*all_open_graphs(3), *sampled]:
         seq = og.measured_vertices()
         cert = find_extended_pauli_flow(og)
         if cert is None or cert.order != StrictPartialOrder.chain(seq):
             cert = None
         assert _extended_flow_on_chain(og, seq) == cert
-        found += cert is not None
-    assert found > 0
+        if cert is not None:
+            angles = {v: default_angle(og.label(v)) for v in seq}
+            pat = induced_pattern(og, cert.p_map(), cert.order, seq, angles)
+            assert find_inducing_certificate(pat, "extended") == cert
+            found += 1
+            compensated += bool(cert.compensations)
+    assert (found, compensated) == (2124, 158)
 
 
 def test_induced_pattern_worked_example():
