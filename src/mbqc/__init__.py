@@ -29,7 +29,7 @@ _EXPORTS = {
     "graphs": ("Axis", "Graph", "Label", "OpenGraph", "odd_neighborhood"),
     "notation": ("parse_pattern", "serialize_pattern"),
     "pauli": ("PauliOperator",),
-    "patterns": ("MeasurementStep", "Pattern", "is_pauli_first", "underlying_open_graph", "validate"),
+    "patterns": ("MeasurementStep", "Pattern", "is_pauli_first", "underlying_open_graph"),
     "rewrite": ("PushChoice", "RewriteTrace", "normalize_pauli_first", "pauli_inversions", "push_step"),
     "simulate": (
         "BranchMap", "MeasurementBasisPair", "QuantumState", "Superoperator", "branch_map",

@@ -40,7 +40,7 @@ from .flows import (
     find_pauli_flow,
     induced_pattern,
 )
-from .patterns import Pattern, validate
+from .patterns import Pattern
 
 
 def _fail(message: str) -> int:
@@ -58,9 +58,6 @@ def _valid_pattern(path: str, numeric: bool = False) -> Pattern:
     """The pattern document at ``path``; with ``numeric``, also require every
     angle to be bound."""
     pat = pattern_from_json(load_json(path))
-    problems = validate(pat)
-    if problems:
-        raise DocumentError("invalid pattern: " + "; ".join(problems))
     if numeric and any(s.angle.is_symbolic for s in pat.steps):
         raise DocumentError("pattern has unbound angle variables")
     return pat

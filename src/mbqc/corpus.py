@@ -16,7 +16,7 @@ from .angles import Angle, default_angle
 from .bits import bit_list, mask_of, subsets
 from .flows import FlowCertificate, StrictPartialOrder, _extended_flow_on_chain, induced_pattern
 from .graphs import ALL_LABELS, Graph, Label, OpenGraph
-from .patterns import MeasurementStep, Pattern, validate
+from .patterns import MeasurementStep, Pattern
 
 _INPUT_LABELS = (Label.X, Label.Y, Label.XY)
 
@@ -223,9 +223,7 @@ def pattern_corpus() -> Iterator[Pattern]:
         (s4, 0, [1, 2, 3], "sampled"),
     ]
     for g, inputs, order, mode in bases:
-        for pat in _patterns_for_base(g, inputs, order, corrections=mode):
-            if not validate(pat):
-                yield pat
+        yield from _patterns_for_base(g, inputs, order, corrections=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +264,8 @@ def random_valid_pattern(rng: random.Random, max_qubits: int = 6) -> Pattern:
 
 def random_valid_patterns(count: int, max_qubits: int = 6, seed: int = 2024) -> Iterator[Pattern]:
     rng = random.Random(seed)
-    produced = 0
-    while produced < count:
-        pat = random_valid_pattern(rng, max_qubits)
-        if validate(pat):
-            continue
-        produced += 1
-        yield pat
+    for _ in range(count):
+        yield random_valid_pattern(rng, max_qubits)
 
 
 def random_open_graph(rng: random.Random, n: int) -> OpenGraph:

@@ -6,7 +6,8 @@ Open graph::
      "inputs": [0], "outputs": [1], "labels": {"0": "XY"}}
 
 A pattern document carries the same graph fields plus ``steps`` in execution
-order; its ``outputs`` must equal the unmeasured vertices.  Angles are
+order; its ``outputs`` must equal the unmeasured vertices, and it must be a
+valid pattern (``mbqc.patterns``).  Angles are
 ``{"pi_mult": "1/4"}`` (exact), ``{"real": 0.25}``, or ``{"var": "theta"}``
 for a free symbolic angle.  A certificate document's ``kind`` is the flow
 kind (``epf``, ``pauli``, or ``gflow``); only an ``epf`` certificate carries
@@ -28,7 +29,7 @@ from typing import Any, Callable, TypeVar
 
 from .angles import Angle
 from .bits import bit_list, mask_of
-from .errors import DocumentError, DomainError
+from .errors import DocumentError, DomainError, PreconditionError
 from .flows import FlowCertificate, StrictPartialOrder
 from .graphs import MAX_VERTEX_ID, Graph, Label, OpenGraph, label_from_text, vertex_id_from_text
 from .patterns import MeasurementStep, Pattern
@@ -193,7 +194,10 @@ def pattern_from_json(payload: dict[str, Any]) -> Pattern:
         x_corr = _id_set(raw.get("x_corr", []), f"step {i} x_corr")
         z_corr = _id_set(raw.get("z_corr", []), f"step {i} z_corr")
         steps.append(MeasurementStep(qubit, label, angle, x_corr, z_corr))
-    pat = Pattern.make(graph, inputs, steps)
+    try:
+        pat = Pattern.make(graph, inputs, steps)
+    except PreconditionError as exc:
+        raise DocumentError(f"bad pattern: {exc}") from None
     _require(
         pat.outputs == mask_of(outputs),
         "outputs field does not match the unmeasured vertices",

@@ -511,7 +511,8 @@ def induced_pattern(
     matters only for pairs the partial order leaves unordered: dropping
     those corrections would silently lose determinism (a correction on an
     unordered-but-later vertex is still required), so the filter follows the
-    order the measurements actually run in.
+    order the measurements actually run in.  A Pauli vertex's angle must be
+    0, pi or a variable, or ``Pattern`` raises ``PreconditionError``.
     """
     _check_correction_function(g, p)
     if sorted(total) != g.measured_vertices():
@@ -523,15 +524,12 @@ def induced_pattern(
         label = g.label(u)
         if u not in angles:
             raise DomainError(f"missing angle for vertex {u}")
-        angle = angles[u]
-        if label.is_pauli and not (angle.is_symbolic or angle.is_pauli_angle()):
-            raise PreconditionError(f"Pauli-measured vertex {u} needs angle 0 or pi")
         fut = _totals_future(g, total, u)
         steps.append(
             MeasurementStep(
                 u,
                 label,
-                angle,
+                angles[u],
                 x_corr=p[u] & fut,
                 z_corr=odd_neighborhood(g, p[u]) & fut,
             )

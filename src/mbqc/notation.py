@@ -13,6 +13,8 @@ survive a round trip.  Subscripts accept ``_{1,2}`` and, for single-digit
 ids, the compact ``_{12}``; measurement superscripts accept ``{YZ,pi/4}``,
 ``{{X,Y},0}``, or a bare Pauli like ``Z``.  Ids and labels are read as in
 the JSON documents, and an angle is a multiple of pi, a number, or a name.
+``parse_pattern`` raises ``PatternSyntaxError`` on malformed text and
+``PreconditionError`` on a well-formed but invalid pattern.
 """
 
 from __future__ import annotations

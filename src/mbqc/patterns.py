@@ -5,6 +5,12 @@ ordered list of measurement steps.  Steps are stored in execution order,
 first-executed first; the serializer renders the conventional right-to-left
 command notation.  Each step carries outcome-conditioned X/Z correction
 targets.  Unmeasured qubits are the outputs.
+
+A ``Pattern`` is valid by construction: its constructor raises
+``PreconditionError("invalid pattern: ...")`` on any breach of the
+normal-form rules (``_violations``).  So ``Pattern.bind`` raises on a binding
+that breaks them, ``parse_pattern`` on a well-formed but invalid pattern, and
+no other module checks them again.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ class Pattern:
     outputs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        problems = _violations(self)
+        if problems:
+            raise PreconditionError("invalid pattern: " + "; ".join(problems))
         m = 0
         for s in self.steps:
             m |= 1 << s.qubit
@@ -83,7 +92,7 @@ class Pattern:
         return len(self.graph.vertices)
 
 
-def validate(pat: Pattern) -> list[str]:
+def _violations(pat: Pattern) -> list[str]:
     """All violations of the pattern normal-form constraints; empty if valid.
 
     Checked: inputs inside the graph, each qubit measured at most once,
@@ -121,15 +130,8 @@ def validate(pat: Pattern) -> list[str]:
     return out
 
 
-def require_valid(pat: Pattern) -> None:
-    problems = validate(pat)
-    if problems:
-        raise PreconditionError("invalid pattern: " + "; ".join(problems))
-
-
 def underlying_open_graph(pat: Pattern) -> OpenGraph:
-    """The (graph, inputs, outputs, labels) abstraction of a valid pattern."""
-    require_valid(pat)
+    """The (graph, inputs, outputs, labels) abstraction of a pattern."""
     labels = {s.qubit: s.label for s in pat.steps}
     return OpenGraph.make(pat.graph, pat.inputs, pat.outputs, labels)
 

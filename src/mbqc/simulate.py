@@ -21,6 +21,9 @@ the reduction itself is validated by dense sampling in the test suite).
 The brute-force stabilizer search that criterion 7 checks
 ``enumerate_projected_stabilizers`` against lives in ``mbqc.oracles``.
 
+A ``Pattern`` is valid by construction (``parse_pattern`` raises
+``PreconditionError`` on a well-formed but invalid one); no kernel re-checks it.
+
 Qubit tensor ordering is the canonical numeric vertex order throughout,
 first qubit most significant.  ``MBQC_MAX_QUBITS`` bounds the live width
 of the oracle and of ``branch_map``, and the qubit count of ``semantics``
@@ -50,7 +53,7 @@ from .errors import (
 )
 from .graphs import Axis, Graph, Label, OpenGraph, odd_neighborhood
 from .pauli import PauliOperator
-from .patterns import MeasurementStep, OutcomeAssignment, Pattern, outcome_mask, require_valid
+from .patterns import MeasurementStep, OutcomeAssignment, Pattern, outcome_mask
 
 #: Default tolerance of the determinism oracle and the state comparisons.
 DEFAULT_TOL = 1e-9
@@ -321,7 +324,6 @@ def _schedule(pat: Pattern, bound: int) -> tuple[np.ndarray, tuple[int, ...], li
     projection and correction so far, so every distance and norm is the
     dense one.
     """
-    require_valid(pat)
     width = pat.inputs.bit_count()
     if width > bound:
         raise ResourceLimitError(f"live width {width} exceeds the simulator bound {bound}")
@@ -441,19 +443,14 @@ def _rank_one_distance(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(0.5 * (ss * dd + (aa - bb) ** 2))
 
 
-def is_robustly_deterministic(
-    pat: Pattern,
-    tol: float = DEFAULT_TOL,
-    epsilon_offsets: Sequence[float] | None = None,
-) -> RobustDeterminismReport:
+def is_robustly_deterministic(pat: Pattern, tol: float = DEFAULT_TOL) -> RobustDeterminismReport:
     """Definitional recursion for robust determinism.
 
     At each step the channel conditioned on outcome 0 must equal the
     corrected channel conditioned on outcome 1, as linear maps of the input
     density matrix.  Plane measurements must satisfy this for every
-    perturbation of their angle; three offsets suffice (see module docs),
-    and ``epsilon_offsets`` lets callers re-run the check with denser
-    sampling.  The check stops at the first failing step.
+    perturbation of their angle; the three offsets of ``_PLANE_OFFSETS``
+    suffice (see module docs).  The check stops at the first failing step.
 
     The channel so far is one Kraus operator k: when a step passes, the
     corrected outcome-1 branch b is the outcome-0 branch a up to a global
@@ -467,11 +464,10 @@ def is_robustly_deterministic(
     bound = max_qubits()
     k, qubits, adds = _schedule(pat, bound)
     width = len(qubits)
-    offsets = tuple(epsilon_offsets) if epsilon_offsets is not None else _PLANE_OFFSETS
     diagnostics: list[StepDiagnostic] = []
     for i, step in enumerate(pat.steps):
         alpha = step.angle.to_float()
-        eps = tuple(alpha + o for o in offsets) if step.label.is_plane else (alpha,)
+        eps = tuple(alpha + o for o in _PLANE_OFFSETS) if step.label.is_plane else (alpha,)
         k, qubits = _add(k, qubits, adds[i], pat.graph.adj, bound)
         width = max(width, len(qubits))
         sides, rest = _measure(k, qubits, step)

@@ -353,6 +353,10 @@ def test_malformed_arguments_exit_2(tmp_path, argv, capsys):
         ("pattern", lambda d: d["steps"][0].update(angle={"real": float("inf")})),
         # An isolated output above the id bound; the pattern is otherwise valid.
         ("pattern", lambda d: (d["vertices"].append(65536), d["outputs"].append(65536))),
+        # Well-formed steps that make an invalid pattern: a Pauli angle off
+        # {0, pi}, and an X correction on the qubit measured a step before.
+        ("pattern", lambda d: d["steps"][1].update(angle={"pi_mult": "1/3"})),
+        ("pattern", lambda d: d["steps"][1].update(x_corr=[1])),
     ],
 )
 def test_malformed_documents_exit_2(tmp_path, kind, mutate, capsys):

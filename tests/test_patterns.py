@@ -1,4 +1,4 @@
-"""Pattern IR, validation, and command-notation tests."""
+"""Pattern IR, validity by construction, and command-notation tests."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from mbqc import (
     parse_pattern,
     serialize_pattern,
     underlying_open_graph,
-    validate,
 )
 from mbqc.bits import bit_list
 from mbqc.corpus import pattern_corpus, random_valid_patterns
@@ -33,7 +32,6 @@ TWO_QUBIT = "X_2^{s_1} M_1^{{X,Y},0} E_{12} N_2"
 
 def test_canonical_two_qubit_pattern_is_valid():
     pat = parse_pattern(TWO_QUBIT)
-    assert validate(pat) == []
     assert bit_list(pat.inputs) == [1]
     assert bit_list(pat.outputs) == [2]
     step = pat.steps[0]
@@ -43,38 +41,37 @@ def test_canonical_two_qubit_pattern_is_valid():
 
 def test_pauli_angle_restriction():
     g = Graph.make([1, 2], [(1, 2)])
-    bad = Pattern.make(g, [1], [MeasurementStep(1, Label.X, Angle.of_pi("1/3"), mask_of([2]), 0)])
-    assert any("non-{0, pi}" in v for v in validate(bad))
-    ok = Pattern.make(g, [1], [MeasurementStep(1, Label.X, Angle.PI, mask_of([2]), 0)])
-    assert validate(ok) == []
+    with pytest.raises(PreconditionError, match="non-{0, pi}"):
+        Pattern.make(g, [1], [MeasurementStep(1, Label.X, Angle.of_pi("1/3"), mask_of([2]), 0)])
+    Pattern.make(g, [1], [MeasurementStep(1, Label.X, Angle.PI, mask_of([2]), 0)])
 
 
 def test_input_plane_restriction():
     g = Graph.make([1, 2], [(1, 2)])
-    bad = Pattern.make(g, [1], [MeasurementStep(1, Label.YZ, Angle.of_pi("1/3"), 0, 0)])
-    assert any("outside the XY plane" in v for v in validate(bad))
+    with pytest.raises(PreconditionError, match="outside the XY plane"):
+        Pattern.make(g, [1], [MeasurementStep(1, Label.YZ, Angle.of_pi("1/3"), 0, 0)])
 
 
 def test_correction_ordering_restriction():
     g = Graph.make([0, 1, 2], [(0, 1), (1, 2)])
-    bad = Pattern.make(
-        g,
-        [],
-        [
-            MeasurementStep(0, Label.XY, Angle.ZERO, 0, 0),
-            MeasurementStep(1, Label.XY, Angle.ZERO, mask_of([0]), 0),
-        ],
-    )
-    assert any("already-measured" in v for v in validate(bad))
-    dupl = Pattern.make(
-        g,
-        [],
-        [
-            MeasurementStep(0, Label.XY, Angle.ZERO, 0, 0),
-            MeasurementStep(0, Label.X, Angle.ZERO, 0, 0),
-        ],
-    )
-    assert any("twice" in v for v in validate(dupl))
+    with pytest.raises(PreconditionError, match="already-measured"):
+        Pattern.make(
+            g,
+            [],
+            [
+                MeasurementStep(0, Label.XY, Angle.ZERO, 0, 0),
+                MeasurementStep(1, Label.XY, Angle.ZERO, mask_of([0]), 0),
+            ],
+        )
+    with pytest.raises(PreconditionError, match="twice"):
+        Pattern.make(
+            g,
+            [],
+            [
+                MeasurementStep(0, Label.XY, Angle.ZERO, 0, 0),
+                MeasurementStep(0, Label.X, Angle.ZERO, 0, 0),
+            ],
+        )
 
 
 def test_underlying_open_graph():
@@ -95,10 +92,10 @@ def test_underlying_open_graph_no_measurements():
 
 
 def test_underlying_open_graph_rejects_invalid():
+    # No invalid pattern reaches underlying_open_graph: building one raises.
     g = Graph.make([1, 2], [(1, 2)])
-    bad = Pattern.make(g, [1], [MeasurementStep(1, Label.X, Angle.of_pi("1/3"), 0, 0)])
-    with pytest.raises(PreconditionError):
-        underlying_open_graph(bad)
+    with pytest.raises(PreconditionError, match="invalid pattern: step 0: Pauli measurement"):
+        Pattern.make(g, [1], [MeasurementStep(1, Label.X, Angle.of_pi("1/3"), 0, 0)])
 
 
 @pytest.mark.parametrize(
@@ -166,6 +163,19 @@ def test_parse_empty_is_error():
 )
 def test_parse_errors(text):
     with pytest.raises(PatternSyntaxError):
+        parse_pattern(text)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("M_1^{X,pi/3} E_{1,2} N_1 N_2", "non-{0, pi}"),
+        ("M_1^{YZ,0} E_{1,2} N_2", "outside the XY plane"),
+        ("Z_1^{s_2} M_2^X M_1^X E_{1,2} N_1 N_2", "already-measured"),
+    ],
+)
+def test_parse_well_formed_invalid_pattern(text, fragment):
+    with pytest.raises(PreconditionError, match=fragment):
         parse_pattern(text)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from itertools import combinations
@@ -16,6 +17,7 @@ from mbqc import (
     MeasurementStep,
     OpenGraph,
     Pattern,
+    PreconditionError,
     find_extended_pauli_flow,
     find_inducing_certificate,
     find_pauli_flow,
@@ -152,6 +154,25 @@ def test_notation_round_trip(pat):
 @hypothesis.given(patterns())
 def test_pattern_document_round_trip(pat):
     assert pattern_from_json(json.loads(json.dumps(pattern_to_json(pat)))) == pat
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+@hypothesis.given(patterns(), st.data())
+def test_invalid_patterns_cannot_be_built(pat, data):
+    # A correction onto the step's own or an earlier qubit fails in the
+    # constructor, and so does binding a Pauli step's variable off {0, pi}.
+    if pat.steps:
+        i = data.draw(st.integers(0, len(pat.steps) - 1))
+        target = data.draw(st.sampled_from(pat.measurement_order()[: i + 1]))
+        side = data.draw(st.sampled_from(["x_corr", "z_corr"]))
+        step = pat.steps[i]
+        bad = dataclasses.replace(step, **{side: getattr(step, side) | 1 << target})
+        with pytest.raises(PreconditionError, match="already-measured"):
+            Pattern.make(pat.graph, pat.inputs, pat.steps[:i] + (bad,) + pat.steps[i + 1 :])
+    pauli_vars = sorted({s.angle.var for s in pat.steps if s.label.is_pauli and s.angle.is_symbolic})
+    if pauli_vars:
+        with pytest.raises(PreconditionError, match="non-{0, pi}"):
+            pat.bind({data.draw(st.sampled_from(pauli_vars)): Angle.of_pi("1/3")})
 
 
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)

@@ -229,7 +229,7 @@ def test_rd_missing_corrections_fails():
     assert rep.failing_step.qubit == 1
 
 
-def test_rd_three_point_sampling_matches_dense():
+def test_rd_three_point_sampling_matches_dense(monkeypatch):
     # One-time validation of the three-offset reduction for the universally
     # quantified plane perturbation: both sides are trig polynomials of
     # degree one, so three samples decide; confirm against 17 dense offsets.
@@ -247,9 +247,12 @@ def test_rd_three_point_sampling_matches_dense():
             continue
         count += 1
         fast = is_robustly_deterministic(pat)
-        slow = bool(is_robustly_deterministic(pat, epsilon_offsets=dense))
+        monkeypatch.setattr(simulate, "_PLANE_OFFSETS", dense)
+        slow = bool(is_robustly_deterministic(pat))
         disagree += bool(fast) != slow
-        moved = is_robustly_deterministic(pat, epsilon_offsets=shifted)
+        monkeypatch.setattr(simulate, "_PLANE_OFFSETS", shifted)
+        moved = is_robustly_deterministic(pat)
+        monkeypatch.undo()
         assert [s.ok for s in moved.steps] == [s.ok for s in fast.steps]
         assert np.allclose(
             [s.choi_distance for s in moved.steps], [s.choi_distance for s in fast.steps], atol=1e-12
@@ -397,6 +400,7 @@ def test_rd_offsets_without_zero_and_one_projection_pair_per_step(monkeypatch, n
     # takes at the step's own angle; verdicts and failing steps must not
     # move.  Every step projects the register exactly twice, however many
     # angles it samples.
+    three = simulate._PLANE_OFFSETS
     seven = tuple(2.0 * math.pi * (k + 0.5) / 7.0 for k in range(7))
     projected = []
 
@@ -407,14 +411,16 @@ def test_rd_offsets_without_zero_and_one_projection_pair_per_step(monkeypatch, n
     monkeypatch.setattr(simulate, "project", counting)
     for pat in (_chain(n), _chain(n, drop=True)):
         reports = []
-        for offsets in (None, seven):
+        for offsets in (three, seven):
+            monkeypatch.setattr(simulate, "_PLANE_OFFSETS", offsets)
             projected.clear()
-            report = is_robustly_deterministic(pat, epsilon_offsets=offsets)
+            report = is_robustly_deterministic(pat)
             assert projected == [s.qubit for s in report.steps for _ in range(2)]
             reports.append(report)
         default, shifted = reports
         assert [s.ok for s in default.steps] == [s.ok for s in shifted.steps]
         assert len(shifted.steps[0].epsilons) == 7 and 0.0 not in seven
+    monkeypatch.setattr(simulate, "_PLANE_OFFSETS", three)
     assert is_robustly_deterministic(_chain(n)).ok
     assert is_robustly_deterministic(_chain(n, drop=True)).failing_step.index == 2 * (n // 4)
 
